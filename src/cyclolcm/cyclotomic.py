@@ -144,8 +144,16 @@ def divisor_set(k: int, kind: DivisorSetKind | int) -> list[int]:
     kind = DivisorSetKind(kind) if not isinstance(kind, DivisorSetKind) else kind
     if kind is DivisorSetKind.MINUS:
         return divisors(k)
-    dk = set(divisors(k))
-    return [d for d in divisors(2 * k) if d not in dk]
+    return [d for d in divisors(2 * k) if k % d]
+
+
+def _multiplicative_order(a: int, p: int) -> int:
+    """Order of a modulo a prime p that does not divide a."""
+    order = p - 1
+    for q in _factorize(order):
+        while order % q == 0 and pow(a, order // q, p) == 1:
+            order //= q
+    return order
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from cyclolcm import (
     surrogate_series,
     variance_bound,
 )
+from cyclolcm.growth import ENVELOPE_K
 from cyclolcm.stochastic import gcd_pair_sum, gcd_pair_sum_bruteforce
 from cyclolcm.verify import (
     suite_cover_oracle,
@@ -128,20 +129,8 @@ def test_c06_monte_carlo_constant():
     assert ok
 
 
-# Convergence envelope for C7: |ratio_exact - C| <= C7_ENVELOPE_K * log n / n.
-# In nats, log lcm = log a * sum_{d in L(n)} phi(d)        (totient sum)
-#                  + sum_{d in L(n)} sum_{e | d} mu(d/e) log(1 - a^-e)
-#                  - small-prime slack,
-# with L(n) inside [1, 2n].  Moebius inversion of floor(x/d) bounds the
-# totient-sum error |sum_{d<=x} phi(d) - 3x^2/pi^2| by x log x / 2 + O(x),
-# and the same argument over the cover's progressions gives
-# log a * sum phi = C (log a / pi^2) n^2 + O(n log n log a); the cyclotomic
-# correction is bounded per d for fixed a and the slack loses at most
-# log 2n per prime p <= 2n, so both are O(n log n) nats as well.  Dividing
-# by the normalisation (log a / pi^2) n^2, an error of n log n log a nats is
-# a ratio error of pi^2 log n / n, hence K = pi^2.  The error changes sign
-# infinitely often, so nothing makes |ratio - C| shrink at every checkpoint.
-C7_ENVELOPE_K = math.pi**2
+# C7 checks the convergence envelope |ratio_exact - C| <= K * log n / n with
+# K = ENVELOPE_K = pi^2, derived beside its definition in cyclolcm.growth.
 
 
 def test_c07_growth_asymptotics_desk_scale():
@@ -157,7 +146,7 @@ def test_c07_growth_asymptotics_desk_scale():
         scaled = {s.n: s.n * abs(s.ratio_exact - c) / math.log(s.n) for s in samples}
         final_gap = abs(samples[-1].ratio_exact - c)
         within = final_gap <= 0.20 * c
-        enveloped = all(v <= C7_ENVELOPE_K for v in scaled.values())
+        enveloped = all(v <= ENVELOPE_K for v in scaled.values())
         surrogate = surrogate_series(2, pattern, 10**5, step=10**5)[-1]
         sur_ok = abs(surrogate.ratio_surrogate - c) <= 0.005 * c
         runtime_ok = elapsed <= 600.0
@@ -167,7 +156,7 @@ def test_c07_growth_asymptotics_desk_scale():
             f"{word}: exact@{samples[-1].n} gap={final_gap:.4f} "
             f"({'<=20%' if within else '>20%'}), n*gap/log n "
             + " ".join(f"{n}:{v:.3f}" for n, v in scaled.items())
-            + f" {'<=' if enveloped else 'NOT <='} K={C7_ENVELOPE_K:.3f}, "
+            + f" {'<=' if enveloped else 'NOT <='} K={ENVELOPE_K:.3f}, "
             f"surrogate rel={abs(surrogate.ratio_surrogate - c) / c:.5%}, "
             f"{elapsed:.1f}s"
         )

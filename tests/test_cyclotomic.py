@@ -15,7 +15,7 @@ from cyclolcm import (
     totient,
     totient_sieve,
 )
-from cyclolcm.cyclotomic import mobius
+from cyclolcm.cyclotomic import _multiplicative_order, mobius
 
 
 def brute_totient(n):
@@ -137,6 +137,40 @@ def test_cyclotomic_value_matches_polynomial_evaluation():
     for a in (2, 3, 10):
         for n in range(1, 41):
             assert cyclotomic_value(n, a) == cyclotomic_poly(n)(a)
+
+
+def test_cyclotomic_value_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 301):
+        poly = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
+        for a in (2, 3, 10):
+            assert cyclotomic_value(n, a) == int(poly.eval(a)), (n, a)
+
+
+def brute_order(a, p):
+    k, x = 1, a % p
+    while x != 1:
+        x = x * a % p
+        k += 1
+    return k
+
+
+def test_prime_divisors_of_cyclotomic_values_lie_on_order_chains():
+    # p | Phi_d(a) exactly when p does not divide a and d = ord_p(a) * p^j
+    primes = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
+    for a in range(2, 13):
+        values = {d: cyclotomic_value(d, a) for d in range(1, 201)}
+        for p in primes:
+            chain = set()
+            if a % p:
+                d = brute_order(a, p)
+                assert _multiplicative_order(a, p) == d
+                while d <= 200:
+                    chain.add(d)
+                    d *= p
+            for d, value in values.items():
+                assert (value % p == 0) == (d in chain), (p, a, d)
 
 
 @pytest.mark.parametrize("a", [2, 3, 10])

@@ -4,6 +4,8 @@ import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclolcm import (
     convergence_report,
@@ -13,10 +15,11 @@ from cyclolcm import (
     growth_constant,
     oracle_L,
     parse_pattern,
+    random_shifts,
     surrogate_series,
     write_growth_csv,
 )
-from cyclolcm.growth import EXACT_ENGINE_CAP, GROWTH_CSV_HEADER
+from cyclolcm.growth import ENVELOPE_K, EXACT_ENGINE_CAP, GROWTH_CSV_HEADER
 
 LN2 = math.log(2)
 
@@ -84,6 +87,58 @@ def test_cross_engine_consistency(a, word):
         acc = acc // _naive_gcd(acc, term) * term
         naive[k] = acc
     assert dict(exact_lcm_stream(a, pattern, 200)) == naive
+
+
+def _lcm_fold(a, shifts, keep):
+    """{k: lcm(a + s_1, ..., a^k + s_k)} for k in keep, by a math.lcm fold."""
+    acc = 1
+    out = {}
+    for k, shift in enumerate(shifts, 1):
+        acc = math.lcm(acc, a**k + shift)
+        if k in keep:
+            out[k] = acc
+    return out
+
+
+def _stream_at(a, shifts, keep):
+    return {k: v for k, v in exact_lcm_stream(a, shifts, len(shifts)) if k in keep}
+
+
+STREAM_WORDS = ["-", "+", "-+", "--+", "-+-++"]
+
+
+@pytest.mark.parametrize("a", [2, 3, 4, 6, 9, 10, 12, 30])
+def test_stream_matches_lcm_fold_at_every_k(a):
+    # odd a puts p = 2 on the chain 1, 2, 4, ...; primes dividing a have none
+    n = 300
+    every = range(1, n + 1)
+    cases = [parse_pattern(w).shifts(n) for w in STREAM_WORDS]
+    cases += [random_shifts(seed, n) for seed in (1, 0xC0FFEE)]
+    for shifts in cases:
+        assert _stream_at(a, shifts, every) == _lcm_fold(a, shifts, every)
+
+
+# At a = 10 one fold to n = 1000 takes about 5 s, so only random shifts run.
+@pytest.mark.parametrize(
+    "a, words", [(2, STREAM_WORDS), (10, [])], ids=["a=2", "a=10"]
+)
+def test_stream_matches_lcm_fold_at_checkpoints(a, words):
+    n = 1000
+    checkpoints = range(100, n + 1, 100)
+    cases = [parse_pattern(w).shifts(n) for w in words]
+    cases.append(random_shifts(7, n))
+    for shifts in cases:
+        assert _stream_at(a, shifts, checkpoints) == _lcm_fold(a, shifts, checkpoints)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    a=st.integers(2, 50),
+    shifts=st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=120),
+)
+def test_ledger_equals_fold_property(a, shifts):
+    every = range(1, len(shifts) + 1)
+    assert _stream_at(a, shifts, every) == _lcm_fold(a, shifts, every)
 
 
 def test_surrogate_small_sums():
@@ -157,13 +212,16 @@ def test_convergence_report_surrogate_gaps_shrink():
     picked = [
         surrogate_series(2, pattern, n, step=n)[-1] for n in (10**3, 10**4, 10**5)
     ]
-    gaps = [abs(s.ratio_surrogate - 3) for s in picked]
-    assert gaps[0] > gaps[1] > gaps[2]
+    for s in picked:
+        assert abs(s.ratio_surrogate - 3) <= ENVELOPE_K * math.log(s.n) / s.n
     report = convergence_report(picked, growth_constant(pattern))
     assert report.constant == 3.0
     assert report.n_final == 10**5
-    assert report.gaps_nonincreasing_surrogate is True
+    assert report.within_envelope_surrogate is True
+    assert report.within_envelope_exact is None
     assert report.final_ratio_exact is None
+    # 1% of C is far outside the n = 10^5 envelope of about 1.1e-3
+    assert convergence_report(picked, 3.03).within_envelope_surrogate is False
 
 
 def test_convergence_report_exact_fields():
