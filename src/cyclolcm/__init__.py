@@ -20,7 +20,7 @@ from .cyclotomic import (
     totient,
     totient_sieve,
 )
-from .patterns import RandomShiftStream, SignPattern, parse_pattern, random_shifts, subseed
+from .patterns import SignPattern, parse_pattern, random_shifts, subseed
 from .cover import (
     Progression,
     ProgressionCover,
@@ -73,7 +73,6 @@ __all__ = [
     "totient",
     "totient_sieve",
     "SignPattern",
-    "RandomShiftStream",
     "parse_pattern",
     "random_shifts",
     "subseed",

@@ -14,8 +14,7 @@ Conventions: data goes to stdout, summaries and diagnostics to stderr.
 Exit codes: 0 success, 1 usage or validation error, 2 verification
 failure.  All randomness flows through an explicit --seed (the default is
 a fixed constant, never the clock), so identical invocations produce
-byte-identical output.  Set CYCLOLCM_THREADS to allow parallel Monte
-Carlo trials; results are ordered by trial index either way.
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -122,7 +121,8 @@ def cmd_growth(args) -> int:
     if args.n_max > EXACT_ENGINE_CAP and args.exact and not args.force_exact:
         raise UsageError(
             f"exact engine capped at n <= {EXACT_ENGINE_CAP}; pass "
-            "--force-exact to override (runtime grows ~n^3) or drop --exact"
+            "--force-exact to override (runtime grows between n^3 and n^4) "
+            "or drop --exact"
         )
     if args.random:
         if not args.exact:

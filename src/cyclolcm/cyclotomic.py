@@ -28,7 +28,6 @@ __all__ = [
     "CycloPoly",
     "totient",
     "totient_sieve",
-    "divisor_list_sieve",
     "divisor_count",
     "divisors",
     "divisor_set",
@@ -83,27 +82,50 @@ def totient(n: int) -> int:
     return result
 
 
+# Entries per block of the segmented totient sieve: big enough that the
+# per-prime numpy calls are cheap, small enough that a block's temporaries
+# stay in cache and never reach the size of the whole array.
+SIEVE_BLOCK = 1 << 17
+
+
+def _primes_upto(limit: int) -> list[int]:
+    """Primes p <= limit by the sieve of Eratosthenes."""
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    return np.flatnonzero(is_prime).tolist()
+
+
 def totient_sieve(limit: int) -> np.ndarray:
-    """Array phi with phi[n] = totient(n) for 0 <= n <= limit (phi[0] = 0)."""
+    """Array phi with phi[n] = totient(n) for 0 <= n <= limit (phi[0] = 0).
+
+    Segmented: every n <= limit has at most one prime factor above
+    sqrt(limit).  Each block of SIEVE_BLOCK entries applies phi -= phi // p
+    for the primes p <= sqrt(limit) that divide its entries, divides those
+    primes out of a block-local copy of the indices, and what is left above
+    1 is the single large prime.  Each update is exact, since phi(n) stays
+    divisible by every prime of n not yet applied.
+    """
     if limit < 1:
         raise ValueError(f"totient_sieve requires limit >= 1, got {limit}")
     phi = np.arange(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p is prime: no smaller prime touched it
-            phi[p::p] -= phi[p::p] // p
-    phi[0] = 0
+    primes = _primes_upto(math.isqrt(limit))
+    for lo in range(0, limit + 1, SIEVE_BLOCK):
+        hi = min(lo + SIEVE_BLOCK, limit + 1)
+        block = phi[lo:hi]
+        rest = block.copy()
+        for p in primes:
+            hit = block[-lo % p :: p]
+            hit -= hit // p
+            q = p
+            while q < hi:
+                rest[-lo % q :: q] //= p
+                q *= p
+        large = rest > 1
+        block[large] -= block[large] // rest[large]
     return phi
-
-
-def divisor_list_sieve(limit: int) -> list[list[int]]:
-    """divs[j] = sorted divisors of j for 0 <= j <= limit (divs[0] = [])."""
-    if limit < 1:
-        raise ValueError(f"divisor_list_sieve requires limit >= 1, got {limit}")
-    divs: list[list[int]] = [[] for _ in range(limit + 1)]
-    for d in range(1, limit + 1):
-        for j in range(d, limit + 1, d):
-            divs[j].append(d)
-    return divs
 
 
 def divisor_count(n: int) -> int:

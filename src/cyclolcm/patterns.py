@@ -12,13 +12,17 @@ set, else -1.  Independent per-trial streams are derived as
     sub_seed(seed, trial) = seed XOR mix64(trial)
 
 where mix64 is the SplitMix64 output function (golden-gamma increment
-followed by the xor-multiply finalizer); this keeps parallel Monte Carlo
-trials reproducible regardless of execution order.
+followed by the xor-multiply finalizer), so output i of the stream seeded
+with s is mix64(s + (i - 1) * gamma).  Every output is a function of its
+seed and index alone, which keeps Monte Carlo trials reproducible however
+they are batched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "MAX_PERIOD",
@@ -26,7 +30,6 @@ __all__ = [
     "parse_pattern",
     "shift_at",
     "PatternError",
-    "RandomShiftStream",
     "random_shifts",
     "subseed",
 ]
@@ -101,46 +104,39 @@ def shift_at(pattern: SignPattern, n: int) -> int:
     return pattern.shift_at(n)
 
 
-def _mix64(x: int) -> int:
-    """SplitMix64 output function applied to a raw 64-bit state."""
-    x = (x + _GOLDEN) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 output function applied to raw 64-bit states (uint64)."""
+    with np.errstate(over="ignore"):
+        z = x + np.uint64(_GOLDEN)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+    return z
 
 
 def subseed(seed: int, trial_index: int) -> int:
     """Per-trial sub-seed: seed XOR mix64(trial_index)."""
-    return (seed ^ _mix64(trial_index & _MASK64)) & _MASK64
+    mixed = _mix64(np.array([trial_index & _MASK64], dtype=np.uint64))
+    return (seed ^ int(mixed[0])) & _MASK64
 
 
-class RandomShiftStream:
-    """Deterministic stream of +-1 shifts from a 64-bit seed.
+def _plus_rows(seeds: np.ndarray, n: int) -> np.ndarray:
+    """Boolean (len(seeds), n) matrix: [r, i - 1] is s_i == +1 for seeds[r].
 
-    Single-owner: parallel consumers must derive their own streams via
-    subseed(seed, trial_index), never share one instance.
+    Shift i is +1 iff the top bit of mix64(seed + (i - 1) * gamma) is set.
     """
-
-    def __init__(self, seed: int):
-        if not 0 <= seed <= _MASK64:
-            raise ValueError(f"seed must fit in 64 bits, got {seed}")
-        self.seed = seed
-        self._state = seed
-
-    def next_shift(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        z ^= z >> 31
-        return 1 if z >> 63 else -1
-
-    def take(self, n: int) -> list[int]:
-        return [self.next_shift() for _ in range(n)]
+    with np.errstate(over="ignore"):
+        states = seeds[:, None] + np.uint64(_GOLDEN) * np.arange(n, dtype=np.uint64)
+    return (_mix64(states) >> np.uint64(63)).astype(bool)
 
 
 def random_shifts(seed: int, n: int) -> list[int]:
     """First n shifts of the stream seeded with `seed`."""
     if n < 1:
         raise ValueError(f"random_shifts requires n >= 1, got {n}")
-    return RandomShiftStream(seed).take(n)
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must fit in 64 bits, got {seed}")
+    plus = _plus_rows(np.array([seed], dtype=np.uint64), n)[0]
+    return np.where(plus, 1, -1).tolist()

@@ -21,8 +21,6 @@ tests use to adjudicate the expectation formulas, floors and all.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -30,13 +28,12 @@ from typing import Sequence
 import numpy as np
 
 from .constants import random_model_constant
-from .cyclotomic import divisor_list_sieve, totient_sieve
-from .patterns import random_shifts, subseed
+from .cyclotomic import totient_sieve
+from .patterns import _plus_rows, subseed
 
 __all__ = [
     "EXACT_EXPECTATION_CAP",
     "EXHAUSTIVE_CAP",
-    "IndicatorExpectation",
     "TrialResult",
     "MonteCarloSummary",
     "indicator_expectation",
@@ -53,19 +50,10 @@ __all__ = [
 
 EXACT_EXPECTATION_CAP = 2000
 EXHAUSTIVE_CAP = 20
-
-
-@dataclass(frozen=True)
-class IndicatorExpectation:
-    """Record of E[indicator(n, d)]; denominator is a power of two.
-
-    The value vanishes exactly when no k <= n has d | 2k, i.e. for odd
-    d > n and for even d > 2n.
-    """
-
-    n: int
-    d: int
-    value: Fraction
+# Cells of one Monte Carlo batch: trials run max(1, MC_BLOCK_CELLS // n)
+# at a time through one shift matrix and one union kernel call, so memory
+# grows with neither the trial count nor n times a batch of rows.
+MC_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -148,10 +136,11 @@ def expected_X(n: int, mode: str = "exact") -> Fraction | float:
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
     phi = totient_sieve(2 * n)
     if mode == "float":
-        total = 0.0
-        for d in range(1, 2 * n + 1):
-            total += float(phi[d]) * (1.0 - 2.0 ** (-_floor_exponent(n, d)))
-        return total
+        d = np.arange(1, 2 * n + 1)
+        terms = phi[1:] * (1.0 - np.ldexp(1.0, -(n * np.gcd(2, d) // d)))
+        # cumsum adds left to right, as a Python loop would; np.sum is
+        # pairwise and may differ in the last bit.
+        return float(np.cumsum(terms)[-1])
     if n > EXACT_EXPECTATION_CAP:
         raise ValueError(
             f"exact mode limited to n <= {EXACT_EXPECTATION_CAP} (denominators "
@@ -234,32 +223,41 @@ def gcd_pair_sum_bruteforce(n: int) -> int:
     return total
 
 
-def _union_flags(shifts: Sequence[int], n: int, divs: list[list[int]]) -> bytearray:
-    """Membership flags of the divisor-set union L(n) over d = 0..2n."""
-    flags = bytearray(2 * n + 1)
-    for k in range(1, n + 1):
-        if shifts[k - 1] == -1:
-            for d in divs[k]:
-                flags[d] = 1
-        else:
-            for d in divs[2 * k]:
-                if k % d:
-                    flags[d] = 1
+def _union_rows(plus: np.ndarray) -> np.ndarray:
+    """Membership flags of L(n) over d = 0..2n, one row per shift word.
+
+    `plus` is a boolean (rows, n) matrix, plus[r, k - 1] meaning s_k = +1.
+    d is in L(n) iff some multiple k <= n of d has s_k = -1, or d = 2e and
+    some odd multiple k <= n of e has s_k = +1.  Divisors d <= sqrt(n) take
+    one strided `any` over their multiples; the larger ones are handled
+    together, one strided slice per multiplier j <= n / (sqrt(n) + 1), so
+    the kernel makes O(sqrt(n)) numpy calls.
+    """
+    rows, n = plus.shape
+    minus = ~plus
+    flags = np.zeros((rows, 2 * n + 1), dtype=bool)
+    doubled = flags[:, ::2]  # doubled[:, e] is the flag of d = 2e
+    root = math.isqrt(n)
+    for d in range(1, root + 1):
+        flags[:, d] |= minus[:, d - 1 :: d].any(axis=1)
+        doubled[:, d] |= plus[:, d - 1 :: 2 * d].any(axis=1)
+    for j in range(1, n // (root + 1) + 1):
+        cols = slice(root + 1, n // j + 1)
+        ks = slice(j * (root + 1) - 1, j * (n // j), j)
+        flags[:, cols] |= minus[:, ks]
+        if j % 2:
+            doubled[:, cols] |= plus[:, ks]
     return flags
 
 
-def x_value(shifts: Sequence[int], n: int, phi=None, divs=None) -> int:
+def x_value(shifts: Sequence[int], n: int) -> int:
     """X = sum of phi(d) over the realized union L(n), for one shift word."""
     if n < 1:
         raise ValueError(f"x_value requires n >= 1, got {n}")
     if len(shifts) < n:
         raise ValueError(f"need at least {n} shifts, got {len(shifts)}")
-    if phi is None:
-        phi = totient_sieve(2 * n)
-    if divs is None:
-        divs = divisor_list_sieve(2 * n)
-    flags = _union_flags(shifts, n, divs)
-    return int(phi[np.frombuffer(flags, dtype=np.uint8).astype(bool)].sum())
+    flags = _union_rows((np.asarray(shifts[:n]) != -1)[None])[0]
+    return int(totient_sieve(2 * n)[flags].sum())
 
 
 def _summarize(results: list[TrialResult], n: int) -> MonteCarloSummary:
@@ -284,44 +282,35 @@ def monte_carlo(
     n: int,
     trials: int,
     seed: int,
-    workers: int | None = None,
 ) -> tuple[list[TrialResult], MonteCarloSummary]:
     """Seeded Monte Carlo estimate of X over independent shift words.
 
     Trial t uses the stream seeded with subseed(seed, t), so results are
-    reproducible bit-for-bit regardless of worker count or execution
-    order.  The base a only matters for provenance: X and the normalized
-    ratio pi^2 * X / n^2 are base-free.
+    reproducible bit-for-bit whatever the batching (see MC_BLOCK_CELLS).
+    The base a only matters for provenance: X and the normalized ratio
+    pi^2 * X / n^2 are base-free.
     """
     if a < 2:
         raise ValueError(f"base a must be >= 2, got {a}")
     if n < 1 or trials < 1:
         raise ValueError(f"n and trials must be >= 1, got ({n}, {trials})")
-    if workers is None:
-        workers = int(os.environ.get("CYCLOLCM_THREADS", "1") or "1")
     phi = totient_sieve(2 * n)
-    divs = divisor_list_sieve(2 * n)
     norm = math.pi**2 / (n * n)
-
-    def run_trial(t: int) -> TrialResult:
-        s = subseed(seed, t)
-        x = x_value(random_shifts(s, n), n, phi, divs)
-        return TrialResult(s, t, n, x, x * norm)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_trial, range(trials)))
-    else:
-        results = [run_trial(t) for t in range(trials)]
+    rows = max(1, MC_BLOCK_CELLS // n)
+    results = []
+    for lo in range(0, trials, rows):
+        block = range(lo, min(lo + rows, trials))
+        seeds = [subseed(seed, t) for t in block]
+        flags = _union_rows(_plus_rows(np.array(seeds, dtype=np.uint64), n))
+        for t, s, row in zip(block, seeds, flags):
+            x = int(phi[row].sum())
+            results.append(TrialResult(s, t, n, x, x * norm))
     return results, _summarize(results, n)
 
 
-def _all_words(n: int) -> list[list[int]]:
-    """All 2^n shift words; bit k-1 of the word index set means s_k = +1."""
-    return [
-        [1 if (w >> (k - 1)) & 1 else -1 for k in range(1, n + 1)]
-        for w in range(1 << n)
-    ]
+def _all_words(n: int) -> np.ndarray:
+    """All 2^n shift words as rows; bit k-1 of the row index set means s_k = +1."""
+    return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
 
 
 def exhaustive_trials(n: int) -> tuple[list[int], Fraction]:
@@ -333,8 +322,7 @@ def exhaustive_trials(n: int) -> tuple[list[int], Fraction]:
     if not 1 <= n <= EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive mode requires 1 <= n <= {EXHAUSTIVE_CAP}")
     phi = totient_sieve(2 * n)
-    divs = divisor_list_sieve(2 * n)
-    xs = [x_value(word, n, phi, divs) for word in _all_words(n)]
+    xs = [int(phi[row].sum()) for row in _union_rows(_all_words(n))]
     return xs, Fraction(sum(xs), len(xs))
 
 
@@ -348,13 +336,8 @@ def exhaustive_indicator_tables(
     """
     if not 1 <= n <= EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive mode requires 1 <= n <= {EXHAUSTIVE_CAP}")
-    divs = divisor_list_sieve(2 * n)
-    words = _all_words(n)
-    member = np.zeros((len(words), 2 * n + 1), dtype=np.int64)
-    for w, word in enumerate(words):
-        flags = _union_flags(word, n, divs)
-        member[w] = np.frombuffer(flags, dtype=np.uint8)
-    denom = len(words)
+    member = _union_rows(_all_words(n)).astype(np.int64)
+    denom = len(member)
     single_counts = member.sum(axis=0)
     pair_counts = member.T @ member
     singles = {d: Fraction(int(single_counts[d]), denom) for d in range(1, 2 * n + 1)}

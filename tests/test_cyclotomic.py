@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from cyclolcm import (
@@ -15,6 +16,7 @@ from cyclolcm import (
     totient,
     totient_sieve,
 )
+from cyclolcm import cyclotomic
 from cyclolcm.cyclotomic import _multiplicative_order, mobius
 
 
@@ -44,6 +46,29 @@ def test_totient_sieve_matches_totient():
     assert phi[0] == 0
     for n in range(1, 3001):
         assert int(phi[n]) == totient(n)
+
+
+@pytest.fixture
+def fresh_factor_cache(monkeypatch):
+    # the cache would otherwise keep ~4e5 factorizations for the session
+    monkeypatch.setattr(cyclotomic, "_factor_cache", {})
+
+
+def test_totient_sieve_block_edges(fresh_factor_cache):
+    # limits around the block size, where the segments start and end
+    block = cyclotomic.SIEVE_BLOCK
+    top = 3 * block
+    reference = [0] + [totient(n) for n in range(1, top + 1)]
+    for limit in (1, 2, 3, 4, 97, block - 1, block, block + 1, top):
+        phi = totient_sieve(limit)
+        assert phi.dtype == np.int64
+        assert phi.tolist() == reference[: limit + 1]
+
+
+def test_totient_sieve_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    phi = totient_sieve(10**4)
+    assert phi.tolist() == [0] + [int(sympy.totient(n)) for n in range(1, 10**4 + 1)]
 
 
 def test_totient_divisor_sum_identity():

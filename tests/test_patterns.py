@@ -2,10 +2,31 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from cyclolcm import RandomShiftStream, parse_pattern, random_shifts, subseed
-from cyclolcm.patterns import MAX_PERIOD, PatternError, shift_at
+from cyclolcm import parse_pattern, random_shifts, subseed
+from cyclolcm.patterns import MAX_PERIOD, PatternError, _mix64, shift_at
+
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def splitmix64_words(seed, n):
+    """Scalar SplitMix64 as the README states it: advance the state by the
+    golden gamma, then apply the xor-multiply finalizer."""
+    state, words = seed, []
+    for _ in range(n):
+        state = (state + GOLDEN) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        words.append(z ^ (z >> 31))
+    return words
+
+
+def splitmix64_shifts(seed, n):
+    return [1 if w >> 63 else -1 for w in splitmix64_words(seed, n)]
 
 
 def test_parse_examples():
@@ -43,9 +64,33 @@ def test_shifts_prefix():
 def test_random_shifts_deterministic():
     for seed in (0, 1, 42, 2**64 - 1):
         assert random_shifts(seed, 5) == random_shifts(seed, 5)
-    # a stream consumed incrementally matches the one-shot call
-    stream = RandomShiftStream(987654321)
-    assert [stream.next_shift() for _ in range(64)] == random_shifts(987654321, 64)
+    # a longer stream extends a shorter one
+    assert random_shifts(987654321, 64)[:5] == random_shifts(987654321, 5)
+
+
+def test_splitmix64_known_vectors():
+    # the reference splitmix64.c outputs for seed 1234567, and for seed 0
+    assert splitmix64_words(1234567, 5) == [
+        6457827717110365317,
+        3203168211198807973,
+        9817491932198370423,
+        4593380528125082431,
+        16408922859458223821,
+    ]
+    assert splitmix64_words(0, 1) == [0xE220A8397B1DCDAF]
+    # output i of the stream seeded s is mix64(s + (i - 1) * gamma)
+    states = np.array(
+        [(1234567 + i * GOLDEN) & MASK64 for i in range(5)], dtype=np.uint64
+    )
+    assert _mix64(states).tolist() == splitmix64_words(1234567, 5)
+
+
+def test_random_shifts_match_scalar_splitmix64():
+    for seed in (0, 1, 1234567, 0x5EEDC0DE, 2**63, MASK64):
+        for n in (1, 2, 63, 64, 65, 1000):
+            assert random_shifts(seed, n) == splitmix64_shifts(seed, n)
+    for t in (0, 1, 2, 1000, MASK64):
+        assert subseed(0x5EEDC0DE, t) == 0x5EEDC0DE ^ splitmix64_words(t, 1)[0]
 
 
 def test_random_shifts_values_and_mean():
@@ -70,5 +115,9 @@ def test_pattern_word_validation():
         parse_pattern("x")
     with pytest.raises(ValueError):
         parse_pattern("-").shift_at(0)
+    with pytest.raises(ValueError, match="64 bits"):
+        random_shifts(2**64, 1)
+    with pytest.raises(ValueError, match="64 bits"):
+        random_shifts(-1, 1)
     with pytest.raises(ValueError):
-        RandomShiftStream(2**64)
+        random_shifts(0, 0)

@@ -3,9 +3,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclolcm import (
+    divisor_set,
     expected_X,
     gcd_pair_sum,
     indicator_expectation,
@@ -13,11 +17,14 @@ from cyclolcm import (
     oracle_L,
     pair_expectation,
     random_shifts,
+    subseed,
     totient,
     variance_bound,
 )
 from cyclolcm.stochastic import (
     EXACT_EXPECTATION_CAP,
+    MC_BLOCK_CELLS,
+    _union_rows,
     exhaustive_indicator_tables,
     exhaustive_trials,
     gcd_pair_sum_bruteforce,
@@ -100,6 +107,16 @@ def test_expected_x_small_values():
     assert abs(expected_X(100, "float") - float(expected_X(100))) < 1e-6
 
 
+def test_expected_x_float_is_left_to_right_sum():
+    # the float sum must keep the bits of a sequential loop over d; at
+    # n = 2720 and 3388 a pairwise sum differs in the last bit
+    for n in (1, 7, 1000, 2720, 3388, 12345):
+        total = 0.0
+        for d in range(1, 2 * n + 1):
+            total += float(totient(d)) * (1.0 - 2.0 ** -(n * math.gcd(2, d) // d))
+        assert expected_X(n, "float") == total, n
+
+
 def test_expected_x_validation():
     with pytest.raises(ValueError):
         expected_X(0)
@@ -179,11 +196,46 @@ def test_monte_carlo_reproducible():
     assert r3 != r1
 
 
-def test_monte_carlo_worker_count_does_not_change_results():
-    r1, s1 = monte_carlo(2, 60, 16, 123, workers=1)
-    r4, s4 = monte_carlo(2, 60, 16, 123, workers=4)
-    assert r1 == r4
-    assert s1 == s4
+def test_monte_carlo_matches_per_trial_reference():
+    # trial counts on both sides of the batch size: the last batch is a
+    # single row or one row short; with n above the cell budget every
+    # batch is one row
+    for n, trials in (
+        (20000, MC_BLOCK_CELLS // 20000 + 1),
+        (9973, 2 * (MC_BLOCK_CELLS // 9973) - 1),
+        (MC_BLOCK_CELLS + 1, 2),
+    ):
+        results, _ = monte_carlo(2, n, trials, 123)
+        assert [r.trial_index for r in results] == list(range(trials))
+        for t, r in enumerate(results):
+            s = subseed(123, t)
+            x = x_value(random_shifts(s, n), n)
+            assert (r.seed, r.n, r.X, r.ratio) == (s, n, x, x * (math.pi**2 / (n * n)))
+
+
+def brute_union(plus_row, n):
+    members = set()
+    for k in range(1, n + 1):
+        members.update(divisor_set(k, 1 if plus_row[k - 1] else -1))
+    return members
+
+
+_SQUARE_EDGES = sorted({q * q + e for q in range(1, 21) for e in (-1, 0, 1)} - {0})
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 400) | st.sampled_from(_SQUARE_EDGES),
+    rows=st.integers(1, 4),
+    density=st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_union_kernel_matches_bruteforce(n, rows, density, seed):
+    plus = np.random.default_rng(seed).random((rows, n)) < density
+    flags = _union_rows(plus)
+    assert flags.shape == (rows, 2 * n + 1)
+    for r in range(rows):
+        assert set(np.flatnonzero(flags[r]).tolist()) == brute_union(plus[r], n)
 
 
 def test_monte_carlo_single_trial_has_no_variance():
