@@ -15,8 +15,8 @@ def show(word, n_check=60):
     pattern = parse_pattern(word)
     cover = pattern_cover(pattern)
     print(f"pattern {word!r}: modulus {cover.modulus}")
-    for prog in cover.progressions():
-        print(f"  d = {prog.residue} (mod {prog.modulus})  up to {prog.theta} * n")
+    for t, theta in sorted(cover.slopes.items()):
+        print(f"  d = {t} (mod {cover.modulus})  up to {theta} * n")
     members = cover_members(cover, n_check)
     oracle = oracle_L(pattern, n_check)
     status = "exact match" if members == oracle else "MISMATCH"

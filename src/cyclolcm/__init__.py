@@ -8,13 +8,11 @@ constant 6 * Li2(1/2), and provides exact big-integer engines, totient-sum
 surrogates, and seeded Monte Carlo experiments to watch the convergence.
 """
 
-from .exact_arith import BigRat, gcd, lcm, log_big, valuation
+from .exact_arith import log_big, valuation
 from .cyclotomic import (
     CycloPoly,
-    DivisorSetKind,
     cyclotomic_poly,
     cyclotomic_value,
-    divisor_count,
     divisor_set,
     divisors,
     totient,
@@ -22,7 +20,6 @@ from .cyclotomic import (
 )
 from .patterns import SignPattern, parse_pattern, random_shifts, subseed
 from .cover import (
-    Progression,
     ProgressionCover,
     cover_members,
     oracle_L,
@@ -58,16 +55,11 @@ from .stochastic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRat",
-    "gcd",
-    "lcm",
     "valuation",
     "log_big",
     "CycloPoly",
-    "DivisorSetKind",
     "cyclotomic_poly",
     "cyclotomic_value",
-    "divisor_count",
     "divisor_set",
     "divisors",
     "totient",
@@ -76,7 +68,6 @@ __all__ = [
     "parse_pattern",
     "random_shifts",
     "subseed",
-    "Progression",
     "ProgressionCover",
     "single_cover",
     "pattern_cover",

@@ -26,7 +26,6 @@ import sys
 from .constants import growth_constant, random_model_constant
 from .growth import (
     EXACT_ENGINE_CAP,
-    convergence_report,
     exact_log_lcm_series,
     surrogate_series,
     write_growth_csv,

@@ -27,20 +27,12 @@ from .cyclotomic import _factorize
 from .patterns import SignPattern
 
 __all__ = [
-    "DensityConstant",
     "GrowthConstant",
     "density_c",
     "growth_constant",
     "dilog",
     "random_model_constant",
 ]
-
-
-@dataclass(frozen=True)
-class DensityConstant:
-    r: int
-    m: int
-    value: Fraction
 
 
 @dataclass(frozen=True)

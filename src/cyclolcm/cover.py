@@ -1,19 +1,20 @@
 """Progression covers: divisor-set unions as unions of arithmetic progressions.
 
-For a residue class of indices k <= x with k ≡ r (mod m), the union of the
-divisor sets minus(k) (shift u = -1) or plus(k) (shift u = +1) is exactly a
-finite union of arithmetic progressions
+For a residue class of indices k <= x with k ≡ r (mod m) and one shift u,
+the union of the divisor sets D_k = divisor_set(k, u) is exactly a finite
+union of arithmetic progressions
 
     { d >= 1 : d ≡ t (mod 2m), d <= theta_t * x },
 
 one slope theta_t per residue t in {1, ..., 2m} (t = 2m stands for the
-class ≡ 0).  The slopes are exact rationals and the set equality holds for
-every x >= 1, which oracle_L lets tests enforce literally.
+class ≡ 0).  A ProgressionCover is that family, held as its modulus 2m and
+the dict {t: theta_t}; the slopes are exact rationals and the set equality
+holds for every x >= 1, which oracle_L lets tests enforce literally.
 
 Why the slopes exist: for u = -1, d divides some k ≡ r (mod m) with k <= x
 iff the congruence d*j ≡ r (mod m) has a solution, and then the smallest
 positive solution j0 (which depends only on t = d mod 2m) gives membership
-iff d*j0 <= x, i.e. theta = 1/j0.  For u = +1, d lies in plus(k) iff 2k is
+iff d*j0 <= x, i.e. theta = 1/j0.  For u = +1, d lies in D_k iff 2k is
 an odd multiple of d, so the congruence becomes d*j ≡ 2r (mod 2m) with j
 odd; scanning the two smallest positive solutions finds the least odd one
 (or shows the class has a fixed wrong parity and is excluded), giving
@@ -28,10 +29,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .cyclotomic import divisor_set
-from .patterns import SignPattern
+from .patterns import SignPattern, _shift_list
 
 __all__ = [
-    "Progression",
     "ProgressionCover",
     "single_cover",
     "merge_covers",
@@ -39,23 +39,6 @@ __all__ = [
     "cover_members",
     "oracle_L",
 ]
-
-
-@dataclass(frozen=True)
-class Progression:
-    """One class: d ≡ residue (mod modulus) with d <= theta * x."""
-
-    residue: int
-    modulus: int
-    theta: Fraction
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.residue <= self.modulus:
-            raise ValueError(
-                f"residue {self.residue} outside 1..{self.modulus}"
-            )
-        if self.theta <= 0:
-            raise ValueError(f"slope must be positive, got {self.theta}")
 
 
 @dataclass(frozen=True)
@@ -71,15 +54,6 @@ class ProgressionCover:
                 raise ValueError(f"residue {t} outside 1..{self.modulus}")
             if not 0 < theta <= 2:
                 raise ValueError(f"slope for residue {t} out of (0, 2]: {theta}")
-
-    def progressions(self) -> list[Progression]:
-        return [
-            Progression(t, self.modulus, theta)
-            for t, theta in sorted(self.slopes.items())
-        ]
-
-    def members(self, x: int) -> list[int]:
-        return cover_members(self, x)
 
     def to_json_obj(self) -> dict:
         return {
@@ -194,12 +168,7 @@ def oracle_L(shifts: SignPattern | Sequence[int], n: int) -> list[int]:
     """
     if n < 1:
         raise ValueError(f"oracle_L requires n >= 1, got {n}")
-    if isinstance(shifts, SignPattern):
-        seq = shifts.shifts(n)
-    else:
-        if len(shifts) < n:
-            raise ValueError(f"need at least {n} shifts, got {len(shifts)}")
-        seq = list(shifts[:n])
+    seq = _shift_list(shifts, n)
     out: set[int] = set()
     for k in range(1, n + 1):
         out.update(divisor_set(k, seq[k - 1]))

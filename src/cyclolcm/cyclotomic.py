@@ -1,14 +1,13 @@
 """Multiplicative number theory: totients, divisors, cyclotomic polynomials.
 
-Provides the Euler totient, divisor counting, the divisor sets carried by
-a^n - 1 and a^n + 1, and exact cyclotomic polynomials / values.  The two
-divisor sets are
+Provides the Euler totient, the divisor sets carried by a^n - 1 and
+a^n + 1, and exact cyclotomic polynomials / values.  The divisor set of
+a^n + s for a shift s in {-1, +1} is
 
-    minus(n) = all divisors of n,
-    plus(n)  = divisors of 2n that do not divide n   (all even),
+    s = -1:  all divisors of n,
+    s = +1:  divisors of 2n that do not divide n   (all even),
 
-so that a^n - 1 factors over minus(n) and a^n + 1 over plus(n) as products
-of cyclotomic values.
+so that a^n + s factors over it as a product of cyclotomic values.
 
 Factorizations are obtained by trial division and memoized in a module
 cache; the cache is only ever appended to under the GIL, so concurrent
@@ -19,29 +18,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
-    "DivisorSetKind",
     "CycloPoly",
     "totient",
     "totient_sieve",
-    "divisor_count",
     "divisors",
     "divisor_set",
     "mobius",
     "cyclotomic_poly",
     "cyclotomic_value",
 ]
-
-
-class DivisorSetKind(Enum):
-    """Which divisor set a shift selects: -1 -> MINUS, +1 -> PLUS."""
-
-    MINUS = -1
-    PLUS = 1
 
 
 _factor_cache: dict[int, dict[int, int]] = {}
@@ -128,16 +117,6 @@ def totient_sieve(limit: int) -> np.ndarray:
     return phi
 
 
-def divisor_count(n: int) -> int:
-    """tau(n), the number of positive divisors."""
-    if n < 1:
-        raise ValueError(f"divisor_count requires n >= 1, got {n}")
-    result = 1
-    for e in _factorize(n).values():
-        result *= e + 1
-    return result
-
-
 def divisors(n: int) -> list[int]:
     """Sorted list of positive divisors of n."""
     divs = [1]
@@ -154,19 +133,19 @@ def mobius(n: int) -> int:
     return -1 if len(fac) % 2 else 1
 
 
-def divisor_set(k: int, kind: DivisorSetKind | int) -> list[int]:
-    """Sorted divisor set of the shifted power a^k + u.
+def divisor_set(k: int, shift: int) -> list[int]:
+    """Sorted divisor set D_k of the shifted power a^k + shift.
 
-    MINUS (u = -1) gives the divisors of k; PLUS (u = +1) gives the
-    divisors of 2k that do not divide k.  A bare shift value of -1 or +1
-    is accepted in place of the enum.
+    shift = -1 gives the divisors of k; shift = +1 gives the divisors of
+    2k that do not divide k.  Any other shift raises ValueError.
     """
     if k < 1:
         raise ValueError(f"divisor_set requires k >= 1, got {k}")
-    kind = DivisorSetKind(kind) if not isinstance(kind, DivisorSetKind) else kind
-    if kind is DivisorSetKind.MINUS:
+    if shift == -1:
         return divisors(k)
-    return [d for d in divisors(2 * k) if k % d]
+    if shift == 1:
+        return [d for d in divisors(2 * k) if k % d]
+    raise ValueError(f"shift must be -1 or +1, got {shift}")
 
 
 def _multiplicative_order(a: int, p: int) -> int:

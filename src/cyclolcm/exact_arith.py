@@ -1,10 +1,10 @@
-"""Arbitrary-precision integer and exact rational primitives.
+"""Big-integer primitives: the p-adic valuation and an accurate logarithm.
 
 Python's built-in ``int`` is the arbitrary-precision integer used throughout
-(sign + magnitude, canonical zero), and ``fractions.Fraction`` is the exact
-rational (reduced, positive denominator).  This module adds the few
-operations the rest of the package needs on top of them, most notably a
-logarithm that stays accurate for multi-megabit integers.
+and ``fractions.Fraction`` the exact rational; this module adds the two
+operations the rest of the package needs on top of them: the exponent of a
+prime in an integer, and a logarithm that stays accurate for multi-megabit
+integers.
 
 All values are immutable and every function here is pure, so concurrent
 callers are safe.
@@ -13,26 +13,10 @@ callers are safe.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-__all__ = ["BigRat", "gcd", "lcm", "valuation", "log_big"]
-
-# Exact rational type used across the package.
-BigRat = Fraction
+__all__ = ["valuation", "log_big"]
 
 _LN2 = math.log(2.0)
-
-
-def gcd(x: int, y: int) -> int:
-    """Nonnegative greatest common divisor; gcd(0, 0) == 0."""
-    return math.gcd(x, y)
-
-
-def lcm(x: int, y: int) -> int:
-    """Least common multiple of two positive integers."""
-    if x < 1 or y < 1:
-        raise ValueError(f"lcm requires positive operands, got ({x}, {y})")
-    return x // math.gcd(x, y) * y
 
 
 def valuation(p: int, x: int) -> int:

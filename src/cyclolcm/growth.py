@@ -54,8 +54,8 @@ from .cyclotomic import (
     divisor_set,
     totient_sieve,
 )
-from .exact_arith import log_big
-from .patterns import SignPattern
+from .exact_arith import log_big, valuation
+from .patterns import SignPattern, _shift_list
 
 __all__ = [
     "EXACT_ENGINE_CAP",
@@ -117,14 +117,6 @@ class ConvergenceReport:
     within_envelope_surrogate: bool | None
 
 
-def _resolve_shifts(shifts: SignPattern | Sequence[int], n: int) -> list[int]:
-    if isinstance(shifts, SignPattern):
-        return shifts.shifts(n)
-    if len(shifts) < n:
-        raise ValueError(f"need at least {n} shifts, got {len(shifts)}")
-    return list(shifts[:n])
-
-
 def _union_step(union: set[int], k: int, shift: int) -> tuple[list[int], list[int]]:
     """D_k, the divisor set of a^k + shift, and its members new to the union.
 
@@ -134,14 +126,6 @@ def _union_step(union: set[int], k: int, shift: int) -> tuple[list[int], list[in
     fresh = [d for d in divs if d not in union]
     union.update(fresh)
     return divs, fresh
-
-
-def _valuation(p: int, x: int) -> int:
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
 
 
 def exact_lcm_stream(
@@ -162,7 +146,7 @@ def exact_lcm_stream(
         raise ValueError(f"base a must be >= 2, got {a}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    seq = _resolve_shifts(shifts, n_max)
+    seq = _shift_list(shifts, n_max)
     union: set[int] = set()
     chains: dict[int, list[int]] = {}  # d -> ledger primes p with d on p's chain
     weight: dict[tuple[int, int], int] = {}  # (p, d) -> v_p(Phi_d(a)), d in union
@@ -182,14 +166,14 @@ def exact_lcm_stream(
                 d *= p
             top[p] = 0
             if o in union:
-                top[p] = weight[p, o] = _valuation(p, cyclotomic_value(o, a))
+                top[p] = weight[p, o] = valuation(p, cyclotomic_value(o, a))
         divs, fresh = _union_step(union, k, seq[k - 1])
         values = [cyclotomic_value(d, a) for d in fresh]
         ratio = math.prod(values)
         gained: dict[int, int] = {}
         for d, value in zip(fresh, values):
             for p in chains.get(d, ()):
-                weight[p, d] = _valuation(p, value)
+                weight[p, d] = valuation(p, value)
                 gained[p] = gained.get(p, 0) + weight[p, d]
         level: dict[int, int] = {}  # p -> v_p(a^k + s_k)
         for d in divs:
@@ -236,7 +220,7 @@ def exact_log_lcm_series(
         )
     log_a = math.log(a)
     phi = totient_sieve(2 * n_max)
-    seq = _resolve_shifts(shifts, n_max)
+    seq = _shift_list(shifts, n_max)
     # phi_total accumulates phi(d) as each d first enters the union L(k).
     union: set[int] = set()
     phi_total = 0

@@ -21,6 +21,7 @@ they are batched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +29,6 @@ __all__ = [
     "MAX_PERIOD",
     "SignPattern",
     "parse_pattern",
-    "shift_at",
     "PatternError",
     "random_shifts",
     "subseed",
@@ -99,9 +99,13 @@ def parse_pattern(text: str) -> SignPattern:
     return SignPattern(tuple(word))
 
 
-def shift_at(pattern: SignPattern, n: int) -> int:
-    """Module-level alias for SignPattern.shift_at."""
-    return pattern.shift_at(n)
+def _shift_list(shifts: SignPattern | Sequence[int], n: int) -> list[int]:
+    """s_1..s_n from a pattern, or the first n entries of an explicit list."""
+    if isinstance(shifts, SignPattern):
+        return shifts.shifts(n)
+    if len(shifts) < n:
+        raise ValueError(f"need at least {n} shifts, got {len(shifts)}")
+    return list(shifts[:n])
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:

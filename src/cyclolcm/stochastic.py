@@ -336,10 +336,12 @@ def exhaustive_indicator_tables(
     """
     if not 1 <= n <= EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive mode requires 1 <= n <= {EXHAUSTIVE_CAP}")
-    member = _union_rows(_all_words(n)).astype(np.int64)
+    member = _union_rows(_all_words(n)).astype(np.float64)
     denom = len(member)
-    single_counts = member.sum(axis=0)
-    pair_counts = member.T @ member
+    single_counts = member.sum(axis=0).astype(np.int64)
+    # float64 goes through BLAS (numpy has no BLAS path for int64), and it
+    # is exact here: every count is at most 2^EXHAUSTIVE_CAP = 2^20 < 2^53.
+    pair_counts = (member.T @ member).astype(np.int64)
     singles = {d: Fraction(int(single_counts[d]), denom) for d in range(1, 2 * n + 1)}
     pairs = {
         (d1, d2): Fraction(int(pair_counts[d1, d2]), denom)

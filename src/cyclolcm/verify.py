@@ -154,14 +154,14 @@ def _cover_matches_oracle(pattern: SignPattern, n_max: int) -> tuple[bool, str]:
     """
     cover = pattern_cover(pattern)
     classes = [
-        (t, theta.numerator, theta.denominator, t)
+        (t, theta.numerator, theta.denominator)
         for t, theta in sorted(cover.slopes.items())
     ]
     cover_set: set[int] = set()
     oracle_set: set[int] = set()
-    next_d = {t: t for t, _, _, _ in classes}
+    next_d = {t: t for t, _, _ in classes}
     for n in range(1, n_max + 1):
-        for t, num, den, _ in classes:
+        for t, num, den in classes:
             lim = num * n // den
             d = next_d[t]
             while d <= lim:

@@ -1,6 +1,7 @@
 """CLI surface: output schemas, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -12,12 +13,18 @@ from cyclolcm.growth import GROWTH_CSV_HEADER
 from cyclolcm.verify import CheckResult
 
 
+# The child process imports the same cyclolcm as this one, installed or not.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(cli_module.__file__))
+
+
 def run_cli(*args):
+    path = [PACKAGE_ROOT, os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
         [sys.executable, "-m", "cyclolcm", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
     )
 
 

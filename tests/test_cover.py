@@ -62,6 +62,8 @@ def test_oracle_examples():
     assert oracle_L([-1, 1, 1, -1, 1, 1], 6) == [1, 2, 4, 6, 10, 12]
     with pytest.raises(ValueError):
         oracle_L([-1, 1], 6)
+    with pytest.raises(ValueError, match="shift must be -1 or \\+1"):
+        oracle_L([-1, 0, 1], 3)
 
 
 def all_words(max_period):

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from cyclolcm import (
-    DivisorSetKind,
     cyclotomic_poly,
     cyclotomic_value,
-    divisor_count,
     divisor_set,
     divisors,
     log_big,
@@ -77,23 +75,16 @@ def test_totient_divisor_sum_identity():
         assert sum(totient(d) for d in divisors(n)) == n
 
 
-def test_divisor_count():
-    assert divisor_count(1) == 1
-    assert divisor_count(12) == 6
-    assert divisor_count(36) == 9
-    for n in range(1, 300):
-        assert divisor_count(n) == len(brute_divisors(n))
-    with pytest.raises(ValueError):
-        divisor_count(0)
-
-
 def test_divisor_set_examples():
-    assert divisor_set(3, DivisorSetKind.MINUS) == [1, 3]
-    assert divisor_set(3, DivisorSetKind.PLUS) == [2, 6]
-    assert divisor_set(4, DivisorSetKind.PLUS) == [8]
-    # bare shift values are accepted
     assert divisor_set(3, -1) == [1, 3]
     assert divisor_set(3, 1) == [2, 6]
+    assert divisor_set(4, 1) == [8]
+
+
+@pytest.mark.parametrize("shift", [0, 2, -2])
+def test_divisor_set_rejects_other_shifts(shift):
+    with pytest.raises(ValueError, match="shift must be -1 or \\+1"):
+        divisor_set(3, shift)
 
 
 def test_divisor_set_structure():

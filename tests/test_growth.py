@@ -48,6 +48,14 @@ def test_exact_series_validation():
         exact_log_lcm_series(2, parse_pattern("-"), 5, step=0)
 
 
+def test_stream_rejects_other_shifts_when_consumed():
+    # the stream is lazy: a bad shift is found at its own step
+    stream = exact_lcm_stream(2, [1, 0, 1], 3)
+    assert next(stream) == (1, 3)
+    with pytest.raises(ValueError, match="shift must be -1 or \\+1"):
+        next(stream)
+
+
 def test_exact_engine_cap_and_override():
     with pytest.raises(ValueError, match="capped"):
         exact_log_lcm_series(2, parse_pattern("-"), EXACT_ENGINE_CAP + 1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cyclolcm import parse_pattern, random_shifts, subseed
-from cyclolcm.patterns import MAX_PERIOD, PatternError, _mix64, shift_at
+from cyclolcm.patterns import MAX_PERIOD, PatternError, _mix64
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -49,9 +49,9 @@ def test_parse_errors_name_position():
 
 def test_shift_at_wraps_periodically():
     p = parse_pattern("-++")
-    assert shift_at(p, 1) == -1
-    assert shift_at(p, 4) == -1
-    assert shift_at(p, 6) == 1
+    assert p.shift_at(1) == -1
+    assert p.shift_at(4) == -1
+    assert p.shift_at(6) == 1
     for n in range(1, 200):
         assert p.shift_at(n + p.period) == p.shift_at(n)
 

@@ -78,7 +78,7 @@ def test_pair_examples():
 
 
 def test_pair_matches_enumeration_exhaustively():
-    for n in (1, 2, 3, 4, 5, 6, 7, 8):
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 13, 14):
         singles, pairs = exhaustive_indicator_tables(n)
         for d in range(1, 2 * n + 1):
             assert singles[d] == indicator_expectation(n, d), (n, d)
