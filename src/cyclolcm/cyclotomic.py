@@ -148,15 +148,6 @@ def divisor_set(k: int, shift: int) -> list[int]:
     raise ValueError(f"shift must be -1 or +1, got {shift}")
 
 
-def _multiplicative_order(a: int, p: int) -> int:
-    """Order of a modulo a prime p that does not divide a."""
-    order = p - 1
-    for q in _factorize(order):
-        while order % q == 0 and pow(a, order // q, p) == 1:
-            order //= q
-    return order
-
-
 @dataclass(frozen=True)
 class CycloPoly:
     """Cyclotomic polynomial of index n, coefficients in ascending degree."""
@@ -236,19 +227,22 @@ def cyclotomic_value(n: int, a: int) -> int:
 
     Evaluates prod_{d|n} (a^(n/d) - 1)^mu(d) as a quotient of two big
     integer products instead of materializing coefficients; the division
-    is exact and there is no coefficient blowup.
+    is exact and there is no coefficient blowup.  Only the 2^omega(n)
+    squarefree d contribute, with mu(d) = (-1)^(number of primes of d).
     """
     if n < 1:
         raise ValueError(f"cyclotomic_value requires n >= 1, got {n}")
     if a <= 1:
         raise ValueError(f"cyclotomic_value requires a >= 2, got {a}")
+    squarefree = [(1, 1)]  # (d, mu(d))
+    for p in _factorize(n):
+        squarefree += [(d * p, -mu) for d, mu in squarefree]
     num = 1
     den = 1
-    for d in divisors(n):
-        mu = mobius(d)
+    for d, mu in squarefree:
         if mu == 1:
             num *= a ** (n // d) - 1
-        elif mu == -1:
+        else:
             den *= a ** (n // d) - 1
     value, rem = divmod(num, den)
     assert rem == 0, f"cyclotomic value not integral for n={n}, a={a}"

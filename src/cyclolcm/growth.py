@@ -13,13 +13,13 @@ Two engines:
 
   where the middle term, the cyclotomic correction
   log Phi_d(a) - phi(d) log a summed over L(n), takes both signs, and the
-  slack >= 0 removes the repeated powers of primes p <= 2n that several
-  Phi_d(a) share.  Neither value bounds the other: at a = 2 phi_sum is
-  below log_lcm at 1254 of the n <= 1500 for "-" and at 1496 for "--+",
-  and above it at all but 5 for "+".  The correction and the slack are
-  both O(n log n) nats, as is the error of the totient sum against
-  C * n^2 / pi^2, so |ratio - C| = O(log n / n) with no monotone approach
-  (the totient-sum error changes sign infinitely often);
+  slack >= 0 removes the powers of 2 that several Phi_d(a) share (odd a
+  only; at most (v_2(a^2 - 1) + log_2 2n) log 2 nats).  Neither value
+  bounds the other: at a = 2 phi_sum is below log_lcm at 1254 of the
+  n <= 1500 for "-" and at 1496 for "--+", and above it at all but 5 for
+  "+".  The correction is O(n log n) nats, as is the error of the totient
+  sum against C * n^2 / pi^2, so |ratio - C| = O(log n / n) with no
+  monotone approach (the totient-sum error changes sign infinitely often);
 
 * the cover-based surrogate evaluates the same totient sum through the
   pattern's progression cover and a sieve, which scales to n ~ 10^6 where
@@ -27,14 +27,14 @@ Two engines:
 
 Normalized ratios divide by (log a / pi^2) * n^2, so they converge to the
 pattern's growth constant.  The exact accumulator reaches roughly
-C * (log a / pi^2) * n^2 nats (~5 Mbit at a=2, n=4000).  Step k multiplies
-it once by lcm_k / lcm_{k-1}, an integer of O(k log a) bits made of the
-Phi_d(a) new to the union and a correction for the primes p <= 2k that
-several of them share; no gcd or division at the accumulator's size is
-needed.  That multiplication is most of the cost, and runtime grows
-between n^3 and n^4 (a=2, "-": 0.11 s at n=1000, 1.5 s at n=2000 on a
-2-core Xeon VM); the engine refuses n beyond a default cap of 2000 unless
-overridden.
+C * (log a / pi^2) * n^2 nats (~5 Mbit at a=2, n=4000).  lcm_n is the
+product of Phi_d(a) over L(n) times a closed-form power of two that only
+odd a has (see _exact_steps), so no gcd or division at the accumulator's
+size is needed.  The series multiplies the Phi_d(a) new since its last
+sample into the accumulator once per sample, through a product tree.
+With one sample per n, runtime grows between n^3 and n^4 (a=2, "-":
+0.11 s at n=1000, 1.5 s at n=2000 on a 2-core Xeon VM); the engine refuses
+n beyond a default cap of 2000 unless overridden.
 """
 
 from __future__ import annotations
@@ -43,17 +43,9 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterator, Sequence
 
-import numpy as np
-
 from .constants import GrowthConstant
 from .cover import pattern_cover
-from .cyclotomic import (
-    _factorize,
-    _multiplicative_order,
-    cyclotomic_value,
-    divisor_set,
-    totient_sieve,
-)
+from .cyclotomic import cyclotomic_value, divisor_set, totient_sieve
 from .exact_arith import log_big, valuation
 from .patterns import SignPattern, _shift_list
 
@@ -75,13 +67,13 @@ EXACT_ENGINE_CAP = 2000
 # Convergence envelope: |ratio - C| <= ENVELOPE_K * log n / n.
 # In nats, log lcm = log a * sum_{d in L(n)} phi(d)        (totient sum)
 #                  + sum_{d in L(n)} sum_{e | d} mu(d/e) log(1 - a^-e)
-#                  - small-prime slack,
+#                  - 2-adic slack,
 # with L(n) inside [1, 2n].  Moebius inversion of floor(x/d) bounds the
 # totient-sum error |sum_{d<=x} phi(d) - 3x^2/pi^2| by x log x / 2 + O(x),
 # and the same argument over the cover's progressions gives
 # log a * sum phi = C (log a / pi^2) n^2 + O(n log n log a); the cyclotomic
-# correction is bounded per d for fixed a and the slack loses at most
-# log 2n per prime p <= 2n, so both are O(n log n) nats as well.  Dividing
+# correction is bounded per d for fixed a, so it is O(n log n) nats as
+# well, and the slack is O(log n).  Dividing
 # by the normalisation (log a / pi^2) n^2, an error of n log n log a nats is
 # a ratio error of pi^2 log n / n, hence K = pi^2.  The error changes sign
 # infinitely often, so nothing makes |ratio - C| shrink at every checkpoint.
@@ -117,15 +109,48 @@ class ConvergenceReport:
     within_envelope_surrogate: bool | None
 
 
-def _union_step(union: set[int], k: int, shift: int) -> tuple[list[int], list[int]]:
-    """D_k, the divisor set of a^k + shift, and its members new to the union.
+def _v2_shifted_power(a: int, j: int, shift: int) -> int:
+    """v_2(a^j + shift) for odd a, by lifting the exponent."""
+    if j % 2:
+        return valuation(2, a + shift)
+    if shift == 1:
+        return 1  # a^j = 1 (mod 8)
+    return valuation(2, a - 1) + valuation(2, a + 1) + valuation(2, j) - 1
 
-    union holds L(k - 1) on entry and L(k) on return.
+
+def _exact_steps(
+    a: int, seq: Sequence[int]
+) -> Iterator[tuple[list[int], list[int], int]]:
+    """For k = 1..len(seq): the d new to L(k), their Phi_d(a), and e(k).
+
+    lcm_k = prod_{d in L(k)} Phi_d(a) * 2^e(k).  An odd prime p not dividing
+    a divides Phi_d(a) only on its chain ord_p(a) * p^j (Bang, Zsigmondy),
+    and the chain members in any D_j form a prefix of that chain, so their
+    union already carries the largest power of p.  Only p = 2 with odd a
+    is off: D_j for s_j = +1 holds the one power of two 2^(v_2(j) + 1).
+    There e(k) = M_2(k) - W(k) <= 0, with M_2(k) = max_{j<=k} v_2(a^j + s_j)
+    and W(k) the sum of v_2(Phi_d(a)) over the powers of two d in L(k):
+    v_2(a - 1) at d = 1, v_2(a + 1) at d = 2 and 1 above.  For even a,
+    e(k) = 0.
     """
-    divs = divisor_set(k, shift)
-    fresh = [d for d in divs if d not in union]
-    union.update(fresh)
-    return divs, fresh
+    union: set[int] = set()  # L(k)
+    weight = {1: valuation(2, a - 1), 2: valuation(2, a + 1)}  # 1 above d = 2
+    top = total = 0  # M_2(k), W(k)
+    for k, shift in enumerate(seq, 1):
+        fresh = [d for d in divisor_set(k, shift) if d not in union]
+        union.update(fresh)
+        if a % 2:
+            total += sum(weight.get(d, 1) for d in fresh if d & (d - 1) == 0)
+            top = max(top, _v2_shifted_power(a, k, shift))
+        yield fresh, [cyclotomic_value(d, a) for d in fresh], top - total
+
+
+def _times_power_of_two(x: int, e: int) -> int:
+    """x * 2^e; for e < 0 the low bits shifted out must be zero."""
+    if e >= 0:
+        return x << e
+    assert x & ((1 << -e) - 1) == 0, f"2-adic shift by {e} not exact"
+    return x >> -e
 
 
 def exact_lcm_stream(
@@ -133,62 +158,30 @@ def exact_lcm_stream(
 ) -> Iterator[tuple[int, int]]:
     """Yield (k, lcm(a + s_1, ..., a^k + s_k)) for k = 1..n_max, exactly.
 
-    The shifts must be -1 or +1.  Since a^k + s_k = prod_{d in D_k} Phi_d(a),
-    each step multiplies the previous lcm by the product of Phi_d(a) over
-    the d in D_k new to the union L(k), corrected by a per-prime ledger.
-    A prime p not dividing a divides Phi_d(a) exactly when d lies on its
-    chain ord_p(a) * p^j (Bang, Zsigmondy), so only primes whose chain has
-    a second member o * p <= 2k can divide two values of the union.  For
-    those the step's exponent of p is the rise of M_p = max_{j<=k}
-    v_p(a^j + s_j) minus the valuations that the new Phi_d(a) bring.
+    The shifts must be -1 or +1.  Each step multiplies the previous lcm by
+    the product of the Phi_d(a) new to the union L(k), shifted by the
+    change of the 2-adic term e(k) of _exact_steps; the shift acts on that
+    small ratio, never on the accumulator.
     """
     if a < 2:
         raise ValueError(f"base a must be >= 2, got {a}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    seq = _shift_list(shifts, n_max)
-    union: set[int] = set()
-    chains: dict[int, list[int]] = {}  # d -> ledger primes p with d on p's chain
-    weight: dict[tuple[int, int], int] = {}  # (p, d) -> v_p(Phi_d(a)), d in union
-    top: dict[int, int] = {}  # p -> M_p(k - 1)
     acc = 1
-    for k in range(1, n_max + 1):
-        for m in range(max(2 * k - 1, 2), 2 * k + 1):
-            # m = o * p with o = ord_p(a) < p is the second member of p's
-            # chain, so p is the largest prime of m; below m only o was on it.
-            p = max(_factorize(m))
-            o = m // p
-            if a % p == 0 or _multiplicative_order(a, p) != o:
-                continue
-            d = o
-            while d <= 2 * n_max:
-                chains.setdefault(d, []).append(p)
-                d *= p
-            top[p] = 0
-            if o in union:
-                top[p] = weight[p, o] = valuation(p, cyclotomic_value(o, a))
-        divs, fresh = _union_step(union, k, seq[k - 1])
-        values = [cyclotomic_value(d, a) for d in fresh]
-        ratio = math.prod(values)
-        gained: dict[int, int] = {}
-        for d, value in zip(fresh, values):
-            for p in chains.get(d, ()):
-                weight[p, d] = valuation(p, value)
-                gained[p] = gained.get(p, 0) + weight[p, d]
-        level: dict[int, int] = {}  # p -> v_p(a^k + s_k)
-        for d in divs:
-            for p in chains.get(d, ()):
-                level[p] = level.get(p, 0) + weight[p, d]
-        for p, v in level.items():
-            e = max(v - top[p], 0) - gained.get(p, 0)
-            top[p] = max(top[p], v)
-            if e > 0:
-                ratio *= p**e
-            elif e < 0:
-                ratio, rem = divmod(ratio, p**-e)
-                assert rem == 0, f"ledger division not exact at k={k}, p={p}"
-        acc *= ratio
+    e_acc = 0  # e(k - 1)
+    steps = _exact_steps(a, _shift_list(shifts, n_max))
+    for k, (_, values, e) in enumerate(steps, 1):
+        acc *= _times_power_of_two(math.prod(values), e - e_acc)
+        e_acc = e
         yield k, acc
+
+
+def _product_tree(values: list[int]) -> int:
+    """Product of values by a balanced binary tree of multiplications."""
+    while len(values) > 1:
+        paired = [x * y for x, y in zip(values[::2], values[1::2])]
+        values = paired + values[len(paired) * 2 :]
+    return values[0] if values else 1
 
 
 def _checkpoints(n_max: int, step: int) -> set[int]:
@@ -208,8 +201,13 @@ def exact_log_lcm_series(
 
     Each sample carries both log of the exact lcm and the totient-sum
     surrogate over the literal divisor-set union, so the two normalized
-    ratios can be compared directly.
+    ratios can be compared directly.  The accumulator is read only at the
+    samples, so the Phi_d(a) new since the last sample are multiplied by a
+    product tree, shifted by the change of the 2-adic term, and multiplied
+    into it once.
     """
+    if a < 2:
+        raise ValueError(f"base a must be >= 2, got {a}")
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
     if n_max > EXACT_ENGINE_CAP and not override_cap:
@@ -220,16 +218,19 @@ def exact_log_lcm_series(
         )
     log_a = math.log(a)
     phi = totient_sieve(2 * n_max)
-    seq = _shift_list(shifts, n_max)
-    # phi_total accumulates phi(d) as each d first enters the union L(k).
-    union: set[int] = set()
-    phi_total = 0
     want = _checkpoints(n_max, step)
+    acc = 1
+    e_acc = 0  # the 2-adic term already in acc
+    pending: list[int] = []  # Phi_d(a) for the d new since the last sample
+    phi_total = 0  # sum of phi(d) over L(k)
     samples = []
-    for k, acc in exact_lcm_stream(a, seq, n_max):
-        for d in _union_step(union, k, seq[k - 1])[1]:
-            phi_total += int(phi[d])
+    steps = _exact_steps(a, _shift_list(shifts, n_max))
+    for k, (fresh, values, e) in enumerate(steps, 1):
+        phi_total += sum(int(phi[d]) for d in fresh)
+        pending += values
         if k in want:
+            acc *= _times_power_of_two(_product_tree(pending), e - e_acc)
+            pending, e_acc = [], e
             norm = log_a / math.pi**2 * k * k
             log_lcm = log_big(acc)
             phi_sum = phi_total * log_a

@@ -15,7 +15,7 @@ from cyclolcm import (
     totient_sieve,
 )
 from cyclolcm import cyclotomic
-from cyclolcm.cyclotomic import _multiplicative_order, mobius
+from cyclolcm.cyclotomic import _factorize, mobius
 
 
 def brute_totient(n):
@@ -162,6 +162,15 @@ def test_cyclotomic_value_matches_sympy():
         poly = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
         for a in (2, 3, 10):
             assert cyclotomic_value(n, a) == int(poly.eval(a)), (n, a)
+
+
+def _multiplicative_order(a, p):
+    """Order of a modulo a prime p that does not divide a."""
+    order = p - 1
+    for q in _factorize(order):
+        while order % q == 0 and pow(a, order // q, p) == 1:
+            order //= q
+    return order
 
 
 def brute_order(a, p):

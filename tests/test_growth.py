@@ -10,16 +10,25 @@ from hypothesis import strategies as st
 from cyclolcm import (
     convergence_report,
     cyclotomic_value,
+    divisor_set,
     exact_lcm_stream,
     exact_log_lcm_series,
     growth_constant,
+    log_big,
     oracle_L,
     parse_pattern,
     random_shifts,
     surrogate_series,
+    valuation,
     write_growth_csv,
 )
-from cyclolcm.growth import ENVELOPE_K, EXACT_ENGINE_CAP, GROWTH_CSV_HEADER
+from cyclolcm.growth import (
+    ENVELOPE_K,
+    EXACT_ENGINE_CAP,
+    GROWTH_CSV_HEADER,
+    _exact_steps,
+    _v2_shifted_power,
+)
 
 LN2 = math.log(2)
 
@@ -126,6 +135,55 @@ def test_stream_matches_lcm_fold_at_every_k(a):
         assert _stream_at(a, shifts, every) == _lcm_fold(a, shifts, every)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    a=st.integers(2, 64),
+    shifts=st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=150),
+)
+def test_cyclotomic_product_over_lcm_is_the_2adic_term(a, shifts):
+    # prod_{d in L(k)} Phi_d(a) / lcm_k = 2^(W(k) - M_2(k)), with W(k) the
+    # 2-adic valuations of the Phi_d(a) at powers of two d in L(k) and
+    # M_2(k) = max_{j<=k} v_2(a^j + s_j); both are 0 for even a.
+    fold = _lcm_fold(a, shifts, range(1, len(shifts) + 1))
+    steps = _exact_steps(a, shifts)
+    union, product, w, m = set(), 1, 0, 0
+    for k, shift in enumerate(shifts, 1):
+        for d in set(divisor_set(k, shift)) - union:
+            union.add(d)
+            value = cyclotomic_value(d, a)
+            product *= value
+            if d & (d - 1) == 0:
+                w += valuation(2, value)
+        m = max(m, valuation(2, a**k + shift))
+        assert product == fold[k] << (w - m), k
+        assert a % 2 or w == m == 0
+        assert next(steps)[2] == m - w, k
+
+
+@pytest.mark.parametrize("a", [3, 5, 9, 15, 17, 31, 999])
+def test_series_matches_lcm_fold_at_checkpoints(a):
+    # step 7 leaves n_max off the grid and step n_max is one checkpoint:
+    # both flush the pending product tree at the last sample
+    n = 150
+    cases = [parse_pattern(w).shifts(n) for w in ("-", "+", "--+", "-+-++")]
+    cases.append(random_shifts(3, n))
+    for shifts in cases:
+        fold = _lcm_fold(a, shifts, range(1, n + 1))
+        for step in (1, 7, n):
+            samples = exact_log_lcm_series(a, shifts, n, step)
+            assert [s.n for s in samples] == sorted({*range(step, n + 1, step), n})
+            for s in samples:
+                assert s.log_lcm == log_big(fold[s.n]), (step, s.n)
+
+
+def test_v2_closed_form_matches_valuation():
+    for a in range(3, 102, 2):
+        for k in range(1, 65):
+            for shift in (-1, 1):
+                expected = valuation(2, a**k + shift)
+                assert _v2_shifted_power(a, k, shift) == expected, (a, k, shift)
+
+
 # At a = 10 one fold to n = 1000 takes about 5 s, so only random shifts run.
 @pytest.mark.parametrize(
     "a, words", [(2, STREAM_WORDS), (10, [])], ids=["a=2", "a=10"]
@@ -192,8 +250,6 @@ def test_totient_surrogate_sandwich(word):
     # slightly *below* log lcm (many cyclotomic values exceed a^phi(d), by
     # lcm(1,3,7) = 21 > 2^4 already at n=3), so only the product form has
     # a one-sided sign.
-    from cyclolcm import log_big
-
     pattern = parse_pattern(word)
     samples = exact_log_lcm_series(2, pattern, 1000, step=500)
     kappa = None
