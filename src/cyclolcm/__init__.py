@@ -24,7 +24,6 @@ from .cover import (
     cover_members,
     oracle_L,
     pattern_cover,
-    single_cover,
 )
 from .constants import (
     GrowthConstant,
@@ -69,7 +68,6 @@ __all__ = [
     "random_shifts",
     "subseed",
     "ProgressionCover",
-    "single_cover",
     "pattern_cover",
     "cover_members",
     "oracle_L",

@@ -1,7 +1,7 @@
 """Progression covers: divisor-set unions as unions of arithmetic progressions.
 
-For a residue class of indices k <= x with k ≡ r (mod m) and one shift u,
-the union of the divisor sets D_k = divisor_set(k, u) is exactly a finite
+For a periodic shift pattern s of period m, the union of the divisor sets
+D_k = divisor_set(k, s_k) over the indices k <= x is exactly a finite
 union of arithmetic progressions
 
     { d >= 1 : d ≡ t (mod 2m), d <= theta_t * x },
@@ -11,30 +11,28 @@ class ≡ 0).  A ProgressionCover is that family, held as its modulus 2m and
 the dict {t: theta_t}; the slopes are exact rationals and the set equality
 holds for every x >= 1, which oracle_L lets tests enforce literally.
 
-Why the slopes exist: for u = -1, d divides some k ≡ r (mod m) with k <= x
-iff the congruence d*j ≡ r (mod m) has a solution, and then the smallest
-positive solution j0 (which depends only on t = d mod 2m) gives membership
-iff d*j0 <= x, i.e. theta = 1/j0.  For u = +1, d lies in D_k iff 2k is
-an odd multiple of d, so the congruence becomes d*j ≡ 2r (mod 2m) with j
-odd; scanning the two smallest positive solutions finds the least odd one
-(or shows the class has a fixed wrong parity and is excluded), giving
-theta = 2/j0.
+Why the slopes exist: take d ≡ t (mod 2m).  On the minus side d lies in
+D_k with s_k = -1 iff k = d*j with s_{d*j} = -1, and since d*j ≡ t*j
+(mod m) the first such k is d*j_minus, where j_minus is the least j in
+1..m with s_{t*j} = -1; so d is in the union iff d <= x/j_minus.  On the
+plus side d lies in D_k with s_k = +1 iff 2k is an odd multiple of d,
+which needs d even and k = (d/2)*j with j odd; by the same argument the
+first such k is (d/2)*j_plus, where j_plus is the least odd j in
+1..2m-1 with s_{(t/2)*j} = +1.  Hence theta_t = max(1/j_minus, 2/j_plus)
+over whichever of the two exist, and t has no class when neither does.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cyclotomic import divisor_set
 from .patterns import SignPattern, _shift_list
 
 __all__ = [
     "ProgressionCover",
-    "single_cover",
-    "merge_covers",
     "pattern_cover",
     "cover_members",
     "oracle_L",
@@ -68,80 +66,32 @@ class ProgressionCover:
         }
 
 
-def _min_positive_solution(c: int, rhs: int, mod: int) -> int:
-    """Smallest j >= 1 with c*j ≡ rhs (mod mod); gcd(c, mod) must divide rhs."""
-    if mod == 1:
-        return 1
-    j = (rhs * pow(c, -1, mod)) % mod
-    return j if j > 0 else mod
-
-
-def single_cover(r: int, m: int, u: int) -> ProgressionCover:
-    """Cover of the union of divisor sets over indices k ≡ r (mod m), k <= x.
-
-    u = -1 selects minus(k), u = +1 selects plus(k).  The result may be
-    empty (e.g. no odd divisor ever appears for u = +1).
-    """
-    if not 1 <= r <= m:
-        raise ValueError(f"residue r={r} outside 1..{m}")
-    if u not in (-1, 1):
-        raise ValueError(f"shift u must be -1 or +1, got {u}")
-    mod = 2 * m
-    slopes: dict[int, Fraction] = {}
-    for t in range(1, mod + 1):
-        if u == -1:
-            g = math.gcd(t, m)
-            if r % g:
-                continue
-            j0 = _min_positive_solution((t // g) % (m // g) or m // g, r // g, m // g)
-            slopes[t] = Fraction(1, j0)
-        else:
-            g = math.gcd(t, mod)
-            if (2 * r) % g:
-                continue
-            step = mod // g
-            base = _min_positive_solution((t // g) % step or step, (2 * r) // g, step)
-            # Solutions are base + i*step; only an odd multiplier j makes
-            # d*j = 2k with d not dividing k.  Two consecutive candidates
-            # decide: if step is even the parity is fixed.
-            for j0 in (base, base + step):
-                if j0 % 2 == 1:
-                    slopes[t] = Fraction(2, j0)
-                    break
-    return ProgressionCover(mod, slopes)
-
-
-def merge_covers(covers: Iterable[ProgressionCover]) -> ProgressionCover:
-    """Union of covers over a shared modulus: per-residue maximum slope."""
-    covers = list(covers)
-    if not covers:
-        raise ValueError("merge_covers needs at least one cover")
-    mod = covers[0].modulus
-    if any(c.modulus != mod for c in covers):
-        raise ValueError("covers must share a modulus")
-    slopes: dict[int, Fraction] = {}
-    for c in covers:
-        for t, theta in c.slopes.items():
-            if theta > slopes.get(t, Fraction(0)):
-                slopes[t] = theta
-    return ProgressionCover(mod, slopes)
+def _least_multiplier(word: tuple[int, ...], e: int, sign: int, js: range) -> int:
+    """Least j in js with s_{e*j} == sign (index taken mod the period), or 0."""
+    m = len(word)
+    return next((j for j in js if word[(e * j - 1) % m] == sign), 0)
 
 
 def pattern_cover(pattern: SignPattern) -> ProgressionCover:
     """Cover of the full index-set union for a periodic pattern.
 
-    Merges single_cover(r, m, u) over both shifts u and the residues r in
-    1..m where the pattern takes the value u.  Merging is a per-residue
-    max, hence idempotent and independent of enumeration order.
+    Each residue t in 1..2m takes the larger of its two entry slopes:
+    1/j_minus from the least j in 1..m with s_{t*j} = -1, and (t even
+    only) 2/j_plus from the least odd j in 1..2m-1 with s_{(t/2)*j} = +1.
+    A residue with neither has no class.
     """
-    m = pattern.period
-    singles = [
-        single_cover(r, m, u)
-        for u in (-1, 1)
-        for r in range(1, m + 1)
-        if pattern.word[r - 1] == u
-    ]
-    return merge_covers(singles)
+    word, m = pattern.word, pattern.period
+    slopes: dict[int, Fraction] = {}
+    for t in range(1, 2 * m + 1):
+        j_minus = _least_multiplier(word, t, -1, range(1, m + 1))
+        j_plus = _least_multiplier(word, t // 2, 1, range(1, 2 * m, 2)) if t % 2 == 0 else 0
+        theta = max(
+            Fraction(1, j_minus) if j_minus else Fraction(0),
+            Fraction(2, j_plus) if j_plus else Fraction(0),
+        )
+        if theta:
+            slopes[t] = theta
+    return ProgressionCover(2 * m, slopes)
 
 
 def cover_members(cover: ProgressionCover, x: int) -> list[int]:

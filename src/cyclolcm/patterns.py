@@ -34,7 +34,8 @@ __all__ = [
     "subseed",
 ]
 
-# Cover calculus enumerates residues mod 2m, so keep 2m <= 128.
+# Caps the size of pattern input.  The cover needs no such bound; the cap
+# stays until a resource preflight checks what larger periods cost.
 MAX_PERIOD = 64
 
 _MASK64 = (1 << 64) - 1

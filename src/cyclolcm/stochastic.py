@@ -256,7 +256,11 @@ def x_value(shifts: Sequence[int], n: int) -> int:
         raise ValueError(f"x_value requires n >= 1, got {n}")
     if len(shifts) < n:
         raise ValueError(f"need at least {n} shifts, got {len(shifts)}")
-    flags = _union_rows((np.asarray(shifts[:n]) != -1)[None])[0]
+    row = np.asarray(shifts[:n])
+    bad = row[(row != -1) & (row != 1)]
+    if bad.size:
+        raise ValueError(f"shift must be -1 or +1, got {bad[0]}")
+    flags = _union_rows((row == 1)[None])[0]
     return int(totient_sieve(2 * n)[flags].sum())
 
 

@@ -146,12 +146,24 @@ def suite_table1() -> list[CheckResult]:
     return results
 
 
-def _cover_matches_oracle(pattern: SignPattern, n_max: int) -> tuple[bool, str]:
+def _divisor_table(n_max: int) -> dict[int, list[list[int]]]:
+    """divisor_set(n, s) for both shifts s and every 1 <= n <= n_max."""
+    return {s: [divisor_set(n, s) for n in range(1, n_max + 1)] for s in (-1, 1)}
+
+
+def _cover_matches_oracle(
+    pattern: SignPattern,
+    n_max: int,
+    table: dict[int, list[list[int]]] | None = None,
+) -> tuple[bool, str]:
     """Exact set equality cover vs oracle at every 1 <= n <= n_max.
 
     Both sides grow monotonically, so each is maintained incrementally;
-    the comparison at each n is still a literal set equality.
+    the comparison at each n is still a literal set equality.  The oracle
+    side reads divisor_set(n, s_n) from `table`, which callers checking
+    many words may build once with _divisor_table(n_max).
     """
+    table = table or _divisor_table(n_max)
     cover = pattern_cover(pattern)
     classes = [
         (t, theta.numerator, theta.denominator)
@@ -168,7 +180,7 @@ def _cover_matches_oracle(pattern: SignPattern, n_max: int) -> tuple[bool, str]:
                 cover_set.add(d)
                 d += cover.modulus
             next_d[t] = d
-        oracle_set.update(divisor_set(n, pattern.shift_at(n)))
+        oracle_set.update(table[pattern.shift_at(n)][n - 1])
         if cover_set != oracle_set:
             extra = sorted(cover_set - oracle_set)[:5]
             missing = sorted(oracle_set - cover_set)[:5]
@@ -178,9 +190,10 @@ def _cover_matches_oracle(pattern: SignPattern, n_max: int) -> tuple[bool, str]:
 
 def suite_cover_oracle(n_max: int = 500, max_period: int = 5) -> list[CheckResult]:
     """Cover calculus vs brute force for all words of period <= 5."""
+    table = _divisor_table(n_max)
     results = []
     for word in all_sign_words(max_period):
-        ok, detail = _cover_matches_oracle(parse_pattern(word), n_max)
+        ok, detail = _cover_matches_oracle(parse_pattern(word), n_max, table)
         results.append(CheckResult(f"cover {word} n<={n_max}", ok, detail))
     return results
 

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclolcm import (
     density_c,
@@ -13,6 +15,7 @@ from cyclolcm import (
     random_model_constant,
     totient_sieve,
 )
+from cyclolcm.patterns import MAX_PERIOD
 
 
 def test_density_examples():
@@ -56,11 +59,16 @@ def test_rotations_may_differ():
     assert growth_constant(parse_pattern("++-")).C == Fraction(47, 12)
 
 
-def test_doubling_invariance():
-    for word in ("-+", "--+", "+-+"):
-        once = growth_constant(parse_pattern(word)).C
-        twice = growth_constant(parse_pattern(word * 2)).C
-        assert once == twice
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    word=st.integers(1, MAX_PERIOD // 2).flatmap(
+        lambda m: st.text(alphabet="-+", min_size=m, max_size=m)
+    )
+)
+def test_doubling_invariance(word):
+    once = growth_constant(parse_pattern(word)).C
+    twice = growth_constant(parse_pattern(word * 2)).C
+    assert once == twice
 
 
 def test_constant_recomputable_from_cover():

@@ -1,10 +1,11 @@
 """Progression-cover calculus vs the brute-force divisor-set union."""
 
 import json
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cyclolcm import (
     ProgressionCover,
@@ -12,31 +13,18 @@ from cyclolcm import (
     oracle_L,
     parse_pattern,
     pattern_cover,
-    single_cover,
 )
-from cyclolcm.cover import merge_covers
-from cyclolcm.patterns import SignPattern
+from cyclolcm.patterns import MAX_PERIOD, SignPattern
+from cyclolcm.verify import _cover_matches_oracle
 
 
 def F(n, d=1):
     return Fraction(n, d)
 
 
-def test_single_cover_examples():
-    assert single_cover(1, 1, -1).slopes == {1: F(1), 2: F(1)}
-    assert single_cover(1, 1, 1).slopes == {2: F(2)}
-    assert single_cover(2, 2, -1).slopes == {1: F(1, 2), 2: F(1), 3: F(1, 2), 4: F(1)}
-
-
-def test_single_cover_rejects_bad_residue():
-    with pytest.raises(ValueError):
-        single_cover(3, 2, -1)
-    with pytest.raises(ValueError):
-        single_cover(1, 1, 0)
-
-
 def test_pattern_cover_worked_merges():
     assert pattern_cover(parse_pattern("-")).slopes == {1: F(1), 2: F(1)}
+    assert pattern_cover(parse_pattern("+")).slopes == {2: F(2)}
     assert pattern_cover(parse_pattern("+-")).slopes == {
         1: F(1, 2),
         2: F(2),
@@ -82,45 +70,31 @@ def test_cover_equals_oracle_small_periods():
             assert cover_members(cover, n) == oracle_L(pattern, n), (word, n)
 
 
-def test_cover_equals_oracle_random_patterns():
-    rng = random.Random(1812)
-    for _ in range(25):
-        m = rng.randrange(1, 7)
-        word = tuple(rng.choice((-1, 1)) for _ in range(m))
-        pattern = SignPattern(word)
-        cover = pattern_cover(pattern)
-        for n in range(1, 121):
-            assert cover_members(cover, n) == oracle_L(pattern, n), (word, n)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    word=st.integers(1, MAX_PERIOD).flatmap(
+        lambda m: st.lists(st.sampled_from((-1, 1)), min_size=m, max_size=m)
+    )
+)
+# the Thue-Morse word at the maximum period: every residue has a class
+@example(word=[1 if bin(k).count("1") % 2 else -1 for k in range(MAX_PERIOD)])
+def test_cover_equals_oracle_random_patterns(word):
+    pattern = SignPattern(tuple(word))
+    ok, detail = _cover_matches_oracle(pattern, 8 * pattern.period)
+    assert ok, (word, detail)
+    # an odd d never divides 2k without dividing k: odd residues have
+    # minus-side slopes 1/j only
+    for t, theta in pattern_cover(pattern).slopes.items():
+        assert 0 < theta <= (1 if t % 2 else 2)
 
 
 def test_slope_ranges_and_parity():
-    for m in range(1, 7):
-        for r in range(1, m + 1):
-            minus = single_cover(r, m, -1)
-            for theta in minus.slopes.values():
-                assert 0 < theta <= 1
-            plus = single_cover(r, m, 1)
-            for t, theta in plus.slopes.items():
-                assert 0 < theta <= 2
-                assert t % 2 == 0, "plus-side contributions sit on even residues"
-
-
-def test_merge_is_order_independent_and_idempotent():
-    pattern = parse_pattern("-+-++")
-    m = pattern.period
-    singles = [
-        single_cover(r, m, u)
-        for u in (-1, 1)
-        for r in range(1, m + 1)
-        if pattern.word[r - 1] == u
-    ]
-    reference = pattern_cover(pattern)
-    rng = random.Random(7)
-    for _ in range(10):
-        shuffled = singles[:]
-        rng.shuffle(shuffled)
-        assert merge_covers(shuffled).slopes == reference.slopes
-    assert merge_covers([reference, reference]).slopes == reference.slopes
+    for word in all_words(6):
+        cover = pattern_cover(SignPattern(word))
+        for t, theta in cover.slopes.items():
+            assert 0 < theta <= 2
+            if t % 2:
+                assert theta.numerator == 1, "odd residues take minus-side slopes 1/j"
 
 
 def test_cover_json_schema():

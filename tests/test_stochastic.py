@@ -139,6 +139,14 @@ def test_x_value_bounds_and_monotonicity():
         assert 0 <= x <= sum(totient(d) for d in range(1, 2 * n + 1))
 
 
+def test_x_value_rejects_bad_shifts():
+    for word in ([1, 0, -1], [1, 2, -1]):
+        with pytest.raises(ValueError, match="shift must be -1 or \\+1"):
+            x_value(word, 3)
+        with pytest.raises(ValueError, match="shift must be -1 or \\+1"):
+            oracle_L(word, 3)
+
+
 def test_exhaustive_mean_matches_expectation():
     for n in (1, 2, 3, 6):
         xs, mean = exhaustive_trials(n)
