@@ -22,9 +22,14 @@ def F(n, d=1):
     return Fraction(n, d)
 
 
-def test_pattern_cover_worked_merges():
+def test_single_cover_examples():
+    # period-1 words constrain one residue, so their covers are single progressions
     assert pattern_cover(parse_pattern("-")).slopes == {1: F(1), 2: F(1)}
     assert pattern_cover(parse_pattern("+")).slopes == {2: F(2)}
+
+
+def test_pattern_cover_worked_merges():
+    assert pattern_cover(parse_pattern("-")).slopes == {1: F(1), 2: F(1)}
     assert pattern_cover(parse_pattern("+-")).slopes == {
         1: F(1, 2),
         2: F(2),
