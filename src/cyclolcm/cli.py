@@ -55,7 +55,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -287,10 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_merge_pattern_values(list(sys.argv[1:] if argv is None else argv)))
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

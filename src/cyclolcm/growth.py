@@ -28,10 +28,11 @@ Two engines:
 Normalized ratios divide by (log a / pi^2) * n^2, so they converge to the
 pattern's growth constant.  The exact accumulator reaches roughly
 C * (log a / pi^2) * n^2 nats (~5 Mbit at a=2, n=4000).  lcm_n is the
-product of Phi_d(a) over L(n) times a closed-form power of two that only
-odd a has (see _exact_steps), so no gcd or division at the accumulator's
-size is needed.  The series multiplies the Phi_d(a) new since its last
-sample into the accumulator once per sample, through a product tree.
+product of the odd parts of Phi_d(a) over L(n) times 2^M_2(n), with
+M_2(n) = max_{j<=n} v_2(a^j + s_j) (see _exact_steps), so no gcd or
+division at the accumulator's size is needed.  One loop multiplies the odd
+parts new since its last checkpoint into the accumulator, through a product
+tree; the stream takes a checkpoint at every n, the series at its samples.
 With one sample per n, runtime grows between n^3 and n^4 (a=2, "-":
 0.11 s at n=1000, 1.5 s at n=2000 on a 2-core Xeon VM); the engine refuses
 n beyond a default cap of 2000 unless overridden.
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterator, Sequence
+from typing import IO, Container, Iterator, Sequence
 
 from .constants import GrowthConstant
 from .cover import pattern_cover
@@ -109,71 +110,33 @@ class ConvergenceReport:
     within_envelope_surrogate: bool | None
 
 
-def _v2_shifted_power(a: int, j: int, shift: int) -> int:
-    """v_2(a^j + shift) for odd a, by lifting the exponent."""
-    if j % 2:
-        return valuation(2, a + shift)
-    if shift == 1:
-        return 1  # a^j = 1 (mod 8)
-    return valuation(2, a - 1) + valuation(2, a + 1) + valuation(2, j) - 1
-
-
 def _exact_steps(
     a: int, seq: Sequence[int]
 ) -> Iterator[tuple[list[int], list[int], int]]:
-    """For k = 1..len(seq): the d new to L(k), their Phi_d(a), and e(k).
+    """For k = 1..len(seq): the d new to L(k), the odd parts of their
+    Phi_d(a), and M_2(k) = max_{j<=k} v_2(a^j + s_j).
 
-    lcm_k = prod_{d in L(k)} Phi_d(a) * 2^e(k).  An odd prime p not dividing
-    a divides Phi_d(a) only on its chain ord_p(a) * p^j (Bang, Zsigmondy),
-    and the chain members in any D_j form a prefix of that chain, so their
-    union already carries the largest power of p.  Only p = 2 with odd a
-    is off: D_j for s_j = +1 holds the one power of two 2^(v_2(j) + 1).
-    There e(k) = M_2(k) - W(k) <= 0, with M_2(k) = max_{j<=k} v_2(a^j + s_j)
-    and W(k) the sum of v_2(Phi_d(a)) over the powers of two d in L(k):
-    v_2(a - 1) at d = 1, v_2(a + 1) at d = 2 and 1 above.  For even a,
-    e(k) = 0.
+    lcm_k = 2^M_2(k) * prod_{d in L(k)} odd(Phi_d(a)).  An odd prime p not
+    dividing a divides Phi_d(a) only on its chain ord_p(a) * p^j (Bang,
+    Zsigmondy), and the chain members in any D_j form a prefix of that
+    chain, so their union already carries the largest power of p.  The
+    power of two is taken straight from its definition.
     """
     union: set[int] = set()  # L(k)
-    weight = {1: valuation(2, a - 1), 2: valuation(2, a + 1)}  # 1 above d = 2
-    top = total = 0  # M_2(k), W(k)
+    m2 = 0  # M_2(k)
     for k, shift in enumerate(seq, 1):
         fresh = [d for d in divisor_set(k, shift) if d not in union]
         union.update(fresh)
-        if a % 2:
-            total += sum(weight.get(d, 1) for d in fresh if d & (d - 1) == 0)
-            top = max(top, _v2_shifted_power(a, k, shift))
-        yield fresh, [cyclotomic_value(d, a) for d in fresh], top - total
+        m2 = max(m2, valuation(2, a**k + shift))
+        values = [cyclotomic_value(d, a) for d in fresh]
+        yield fresh, [x >> valuation(2, x) for x in values], m2
 
 
-def _times_power_of_two(x: int, e: int) -> int:
-    """x * 2^e; for e < 0 the low bits shifted out must be zero."""
-    if e >= 0:
-        return x << e
-    assert x & ((1 << -e) - 1) == 0, f"2-adic shift by {e} not exact"
-    return x >> -e
-
-
-def exact_lcm_stream(
-    a: int, shifts: SignPattern | Sequence[int], n_max: int
-) -> Iterator[tuple[int, int]]:
-    """Yield (k, lcm(a + s_1, ..., a^k + s_k)) for k = 1..n_max, exactly.
-
-    The shifts must be -1 or +1.  Each step multiplies the previous lcm by
-    the product of the Phi_d(a) new to the union L(k), shifted by the
-    change of the 2-adic term e(k) of _exact_steps; the shift acts on that
-    small ratio, never on the accumulator.
-    """
+def _check_exact_args(a: int, n_max: int) -> None:
     if a < 2:
         raise ValueError(f"base a must be >= 2, got {a}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    acc = 1
-    e_acc = 0  # e(k - 1)
-    steps = _exact_steps(a, _shift_list(shifts, n_max))
-    for k, (_, values, e) in enumerate(steps, 1):
-        acc *= _times_power_of_two(math.prod(values), e - e_acc)
-        e_acc = e
-        yield k, acc
 
 
 def _product_tree(values: list[int]) -> int:
@@ -182,6 +145,42 @@ def _product_tree(values: list[int]) -> int:
         paired = [x * y for x, y in zip(values[::2], values[1::2])]
         values = paired + values[len(paired) * 2 :]
     return values[0] if values else 1
+
+
+def _exact_checkpoints(
+    a: int, shifts: SignPattern | Sequence[int], n_max: int, want: Container[int]
+) -> Iterator[tuple[int, list[int], int]]:
+    """Yield (k, the d new to L since the last checkpoint, lcm_k) for k in want.
+
+    The odd parts pending since the last checkpoint are multiplied by a
+    product tree, shifted left by M_2(k) - M_2(last checkpoint) >= 0 (M_2 is
+    a running max) and multiplied into the accumulator once.
+    """
+    acc = 1
+    m2_acc = 0  # the M_2 already in acc
+    fresh: list[int] = []
+    pending: list[int] = []
+    steps = _exact_steps(a, _shift_list(shifts, n_max))
+    for k, (new, odd, m2) in enumerate(steps, 1):
+        fresh += new
+        pending += odd
+        if k in want:
+            acc *= _product_tree(pending) << (m2 - m2_acc)
+            yield k, fresh, acc
+            fresh, pending, m2_acc = [], [], m2
+
+
+def exact_lcm_stream(
+    a: int, shifts: SignPattern | Sequence[int], n_max: int
+) -> Iterator[tuple[int, int]]:
+    """Iterator of (k, lcm(a + s_1, ..., a^k + s_k)) for k = 1..n_max, exactly.
+
+    a and n_max are checked at the call; each shift must be -1 or +1 and
+    is checked at its own step.
+    """
+    _check_exact_args(a, n_max)
+    every = range(1, n_max + 1)
+    return ((k, lcm) for k, _, lcm in _exact_checkpoints(a, shifts, n_max, every))
 
 
 def _checkpoints(n_max: int, step: int) -> set[int]:
@@ -201,13 +200,10 @@ def exact_log_lcm_series(
 
     Each sample carries both log of the exact lcm and the totient-sum
     surrogate over the literal divisor-set union, so the two normalized
-    ratios can be compared directly.  The accumulator is read only at the
-    samples, so the Phi_d(a) new since the last sample are multiplied by a
-    product tree, shifted by the change of the 2-adic term, and multiplied
-    into it once.
+    ratios can be compared directly.  The accumulator is read, and so
+    multiplied, only at the samples.
     """
-    if a < 2:
-        raise ValueError(f"base a must be >= 2, got {a}")
+    _check_exact_args(a, n_max)
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
     if n_max > EXACT_ENGINE_CAP and not override_cap:
@@ -218,25 +214,17 @@ def exact_log_lcm_series(
         )
     log_a = math.log(a)
     phi = totient_sieve(2 * n_max)
-    want = _checkpoints(n_max, step)
-    acc = 1
-    e_acc = 0  # the 2-adic term already in acc
-    pending: list[int] = []  # Phi_d(a) for the d new since the last sample
     phi_total = 0  # sum of phi(d) over L(k)
     samples = []
-    steps = _exact_steps(a, _shift_list(shifts, n_max))
-    for k, (fresh, values, e) in enumerate(steps, 1):
+    want = _checkpoints(n_max, step)
+    for k, fresh, lcm in _exact_checkpoints(a, shifts, n_max, want):
         phi_total += sum(int(phi[d]) for d in fresh)
-        pending += values
-        if k in want:
-            acc *= _times_power_of_two(_product_tree(pending), e - e_acc)
-            pending, e_acc = [], e
-            norm = log_a / math.pi**2 * k * k
-            log_lcm = log_big(acc)
-            phi_sum = phi_total * log_a
-            samples.append(
-                GrowthSample(k, log_lcm, phi_sum, log_lcm / norm, phi_sum / norm)
-            )
+        norm = log_a / math.pi**2 * k * k
+        log_lcm = log_big(lcm)
+        phi_sum = phi_total * log_a
+        samples.append(
+            GrowthSample(k, log_lcm, phi_sum, log_lcm / norm, phi_sum / norm)
+        )
     return samples
 
 

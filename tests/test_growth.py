@@ -27,7 +27,6 @@ from cyclolcm.growth import (
     EXACT_ENGINE_CAP,
     GROWTH_CSV_HEADER,
     _exact_steps,
-    _v2_shifted_power,
 )
 
 LN2 = math.log(2)
@@ -55,6 +54,8 @@ def test_exact_series_validation():
         exact_log_lcm_series(1, parse_pattern("-"), 5)
     with pytest.raises(ValueError):
         exact_log_lcm_series(2, parse_pattern("-"), 5, step=0)
+    with pytest.raises(ValueError, match="n_max must be >= 1, got -3"):
+        exact_log_lcm_series(2, parse_pattern("-"), -3)
 
 
 def test_stream_rejects_other_shifts_when_consumed():
@@ -63,6 +64,14 @@ def test_stream_rejects_other_shifts_when_consumed():
     assert next(stream) == (1, 3)
     with pytest.raises(ValueError, match="shift must be -1 or \\+1"):
         next(stream)
+
+
+def test_stream_rejects_bad_arguments_when_called():
+    # checked before the first next(), unlike a shift at its own step
+    with pytest.raises(ValueError, match="base a must be >= 2"):
+        exact_lcm_stream(1, parse_pattern("-"), 3)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        exact_lcm_stream(2, parse_pattern("-"), 0)
 
 
 def test_exact_engine_cap_and_override():
@@ -141,30 +150,27 @@ def test_stream_matches_lcm_fold_at_every_k(a):
     shifts=st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=150),
 )
 def test_cyclotomic_product_over_lcm_is_the_2adic_term(a, shifts):
-    # prod_{d in L(k)} Phi_d(a) / lcm_k = 2^(W(k) - M_2(k)), with W(k) the
-    # 2-adic valuations of the Phi_d(a) at powers of two d in L(k) and
-    # M_2(k) = max_{j<=k} v_2(a^j + s_j); both are 0 for even a.
+    # lcm_k = 2^M_2(k) * prod_{d in L(k)} odd(Phi_d(a)): the odd parts carry
+    # every odd prime of the lcm, and M_2(k) = v_2(lcm_k)
     fold = _lcm_fold(a, shifts, range(1, len(shifts) + 1))
-    steps = _exact_steps(a, shifts)
-    union, product, w, m = set(), 1, 0, 0
-    for k, shift in enumerate(shifts, 1):
-        for d in set(divisor_set(k, shift)) - union:
-            union.add(d)
-            value = cyclotomic_value(d, a)
-            product *= value
-            if d & (d - 1) == 0:
-                w += valuation(2, value)
-        m = max(m, valuation(2, a**k + shift))
-        assert product == fold[k] << (w - m), k
-        assert a % 2 or w == m == 0
-        assert next(steps)[2] == m - w, k
+    union, product = set(), 1
+    for k, (fresh, odd, m2) in enumerate(_exact_steps(a, shifts), 1):
+        assert set(fresh) == set(divisor_set(k, shifts[k - 1])) - union, k
+        union.update(fresh)
+        for d, part in zip(fresh, odd):
+            assert part % 2 and cyclotomic_value(d, a) % part == 0, (k, d)
+            product *= part
+        assert product % 2 and product == fold[k] >> m2, k
+        assert m2 == valuation(2, fold[k]), k
 
 
-@pytest.mark.parametrize("a", [3, 5, 9, 15, 17, 31, 999])
+@pytest.mark.parametrize("a", [3, 5, 9, 15, 17, 31, 999, 2**70 + 1, 2**70 - 1])
 def test_series_matches_lcm_fold_at_checkpoints(a):
     # step 7 leaves n_max off the grid and step n_max is one checkpoint:
-    # both flush the pending product tree at the last sample
-    n = 150
+    # both flush the pending product tree at the last sample.  At
+    # a = 2^70 +- 1, v_2(a -+ 1) = 70; there n = 60 takes 0.4 s and n = 150
+    # would take 8 s per base.
+    n = 150 if a < 1000 else 60
     cases = [parse_pattern(w).shifts(n) for w in ("-", "+", "--+", "-+-++")]
     cases.append(random_shifts(3, n))
     for shifts in cases:
@@ -174,14 +180,6 @@ def test_series_matches_lcm_fold_at_checkpoints(a):
             assert [s.n for s in samples] == sorted({*range(step, n + 1, step), n})
             for s in samples:
                 assert s.log_lcm == log_big(fold[s.n]), (step, s.n)
-
-
-def test_v2_closed_form_matches_valuation():
-    for a in range(3, 102, 2):
-        for k in range(1, 65):
-            for shift in (-1, 1):
-                expected = valuation(2, a**k + shift)
-                assert _v2_shifted_power(a, k, shift) == expected, (a, k, shift)
 
 
 # At a = 10 one fold to n = 1000 takes about 5 s, so only random shifts run.
