@@ -10,8 +10,6 @@ surrogates, and seeded Monte Carlo experiments to watch the convergence.
 
 from .exact_arith import log_big, valuation
 from .cyclotomic import (
-    CycloPoly,
-    cyclotomic_poly,
     cyclotomic_value,
     divisor_set,
     divisors,
@@ -56,8 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "valuation",
     "log_big",
-    "CycloPoly",
-    "cyclotomic_poly",
     "cyclotomic_value",
     "divisor_set",
     "divisors",

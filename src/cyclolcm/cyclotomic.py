@@ -1,7 +1,7 @@
-"""Multiplicative number theory: totients, divisors, cyclotomic polynomials.
+"""Multiplicative number theory: totients, divisors, cyclotomic values.
 
 Provides the Euler totient, the divisor sets carried by a^n - 1 and
-a^n + 1, and exact cyclotomic polynomials / values.  The divisor set of
+a^n + 1, and exact cyclotomic values.  The divisor set of
 a^n + s for a shift s in {-1, +1} is
 
     s = -1:  all divisors of n,
@@ -17,18 +17,17 @@ callers see the same results as serial ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # at run time numpy loads only in the functions that build arrays
+    import numpy as np
 
 __all__ = [
-    "CycloPoly",
     "totient",
     "totient_sieve",
     "divisors",
     "divisor_set",
     "mobius",
-    "cyclotomic_poly",
     "cyclotomic_value",
 ]
 
@@ -79,6 +78,8 @@ SIEVE_BLOCK = 1 << 17
 
 def _primes_upto(limit: int) -> list[int]:
     """Primes p <= limit by the sieve of Eratosthenes."""
+    import numpy as np
+
     is_prime = np.ones(limit + 1, dtype=bool)
     is_prime[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -97,6 +98,8 @@ def totient_sieve(limit: int) -> np.ndarray:
     1 is the single large prime.  Each update is exact, since phi(n) stays
     divisible by every prime of n not yet applied.
     """
+    import numpy as np
+
     if limit < 1:
         raise ValueError(f"totient_sieve requires limit >= 1, got {limit}")
     phi = np.arange(limit + 1, dtype=np.int64)
@@ -146,80 +149,6 @@ def divisor_set(k: int, shift: int) -> list[int]:
     if shift == 1:
         return [d for d in divisors(2 * k) if k % d]
     raise ValueError(f"shift must be -1 or +1, got {shift}")
-
-
-@dataclass(frozen=True)
-class CycloPoly:
-    """Cyclotomic polynomial of index n, coefficients in ascending degree."""
-
-    index: int
-    coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-def _poly_mul(f: list[int], g: list[int]) -> list[int]:
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return out
-
-
-def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Divide by a monic polynomial; quotient and remainder stay integral."""
-    assert den[-1] == 1, "divisor must be monic"
-    rem = list(num)
-    qdeg = len(num) - len(den)
-    quot = [0] * (qdeg + 1)
-    for i in range(qdeg, -1, -1):
-        c = rem[i + len(den) - 1]
-        quot[i] = c
-        if c:
-            for j, b in enumerate(den):
-                rem[i + j] -= c * b
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
-
-
-def _x_power_minus_one(e: int) -> list[int]:
-    poly = [0] * (e + 1)
-    poly[0] = -1
-    poly[e] = 1
-    return poly
-
-
-def cyclotomic_poly(n: int) -> CycloPoly:
-    """Exact coefficients of the n-th cyclotomic polynomial.
-
-    Built as the quotient of products of (X^(n/d) - 1) split by the sign
-    of mu(d); both products are monic so the division is exact over the
-    integers.
-    """
-    if n < 1:
-        raise ValueError(f"cyclotomic_poly requires n >= 1, got {n}")
-    num: list[int] = [1]
-    den: list[int] = [1]
-    for d in divisors(n):
-        mu = mobius(d)
-        if mu == 1:
-            num = _poly_mul(num, _x_power_minus_one(n // d))
-        elif mu == -1:
-            den = _poly_mul(den, _x_power_minus_one(n // d))
-    quot, rem = _poly_divmod_monic(num, den)
-    assert rem == [0], f"cyclotomic quotient not exact for n={n}"
-    assert len(quot) - 1 == totient(n)
-    return CycloPoly(n, tuple(quot))
 
 
 def cyclotomic_value(n: int, a: int) -> int:

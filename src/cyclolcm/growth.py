@@ -6,7 +6,9 @@ Two engines:
   from their cyclotomic factors, keeping the running accumulator exact
   and also tracking the totient-sum surrogate
   phi_sum = sum_{d in L(n)} phi(d) * log a over the literal divisor-set
-  union.  In nats the two are related by
+  union.  Each phi(d) comes from the factorization of d that Phi_d(a)
+  already cached, not from a sieve, so the engine builds no array.  In
+  nats the two are related by
 
       log_lcm = phi_sum + sum_{d in L(n)} sum_{e | d} mu(d/e) log(1 - a^-e)
                 - slack,
@@ -46,7 +48,7 @@ from typing import IO, Container, Iterator, Sequence
 
 from .constants import GrowthConstant
 from .cover import pattern_cover
-from .cyclotomic import cyclotomic_value, divisor_set, totient_sieve
+from .cyclotomic import cyclotomic_value, divisor_set, totient, totient_sieve
 from .exact_arith import log_big, valuation
 from .patterns import SignPattern, _shift_list
 
@@ -213,12 +215,11 @@ def exact_log_lcm_series(
             "the surrogate engine for large n"
         )
     log_a = math.log(a)
-    phi = totient_sieve(2 * n_max)
     phi_total = 0  # sum of phi(d) over L(k)
     samples = []
     want = _checkpoints(n_max, step)
     for k, fresh, lcm in _exact_checkpoints(a, shifts, n_max, want):
-        phi_total += sum(int(phi[d]) for d in fresh)
+        phi_total += sum(totient(d) for d in fresh)
         norm = log_a / math.pi**2 * k * k
         log_lcm = log_big(lcm)
         phi_sum = phi_total * log_a

@@ -21,9 +21,10 @@ they are batched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:  # at run time numpy loads only in the functions that build arrays
+    import numpy as np
 
 __all__ = [
     "MAX_PERIOD",
@@ -111,6 +112,8 @@ def _shift_list(shifts: SignPattern | Sequence[int], n: int) -> list[int]:
 
 def _mix64(x: np.ndarray) -> np.ndarray:
     """SplitMix64 output function applied to raw 64-bit states (uint64)."""
+    import numpy as np
+
     with np.errstate(over="ignore"):
         z = x + np.uint64(_GOLDEN)
         z ^= z >> np.uint64(30)
@@ -123,6 +126,8 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 def subseed(seed: int, trial_index: int) -> int:
     """Per-trial sub-seed: seed XOR mix64(trial_index)."""
+    import numpy as np
+
     mixed = _mix64(np.array([trial_index & _MASK64], dtype=np.uint64))
     return (seed ^ int(mixed[0])) & _MASK64
 
@@ -132,6 +137,8 @@ def _plus_rows(seeds: np.ndarray, n: int) -> np.ndarray:
 
     Shift i is +1 iff the top bit of mix64(seed + (i - 1) * gamma) is set.
     """
+    import numpy as np
+
     with np.errstate(over="ignore"):
         states = seeds[:, None] + np.uint64(_GOLDEN) * np.arange(n, dtype=np.uint64)
     return (_mix64(states) >> np.uint64(63)).astype(bool)
@@ -139,6 +146,8 @@ def _plus_rows(seeds: np.ndarray, n: int) -> np.ndarray:
 
 def random_shifts(seed: int, n: int) -> list[int]:
     """First n shifts of the stream seeded with `seed`."""
+    import numpy as np
+
     if n < 1:
         raise ValueError(f"random_shifts requires n >= 1, got {n}")
     if not 0 <= seed <= _MASK64:

@@ -23,13 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .constants import random_model_constant
 from .cyclotomic import totient_sieve
 from .patterns import _plus_rows, subseed
+
+if TYPE_CHECKING:  # at run time numpy loads only in the functions that build arrays
+    import numpy as np
 
 __all__ = [
     "EXACT_EXPECTATION_CAP",
@@ -134,18 +135,20 @@ def expected_X(n: int, mode: str = "exact") -> Fraction | float:
         raise ValueError(f"expected_X requires n >= 1, got {n}")
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
+    if mode == "exact" and n > EXACT_EXPECTATION_CAP:
+        raise ValueError(
+            f"exact mode limited to n <= {EXACT_EXPECTATION_CAP} (denominators "
+            f"reach 2^n); requested n={n}, use mode='float'"
+        )
     phi = totient_sieve(2 * n)
     if mode == "float":
+        import numpy as np
+
         d = np.arange(1, 2 * n + 1)
         terms = phi[1:] * (1.0 - np.ldexp(1.0, -(n * np.gcd(2, d) // d)))
         # cumsum adds left to right, as a Python loop would; np.sum is
         # pairwise and may differ in the last bit.
         return float(np.cumsum(terms)[-1])
-    if n > EXACT_EXPECTATION_CAP:
-        raise ValueError(
-            f"exact mode limited to n <= {EXACT_EXPECTATION_CAP} (denominators "
-            f"reach 2^n); requested n={n}, use mode='float'"
-        )
     # Group by exponent so the Fraction sum has one shared denominator.
     phi_by_exp: dict[int, int] = {}
     phi_total = 0
@@ -233,6 +236,8 @@ def _union_rows(plus: np.ndarray) -> np.ndarray:
     together, one strided slice per multiplier j <= n / (sqrt(n) + 1), so
     the kernel makes O(sqrt(n)) numpy calls.
     """
+    import numpy as np
+
     rows, n = plus.shape
     minus = ~plus
     flags = np.zeros((rows, 2 * n + 1), dtype=bool)
@@ -252,6 +257,8 @@ def _union_rows(plus: np.ndarray) -> np.ndarray:
 
 def x_value(shifts: Sequence[int], n: int) -> int:
     """X = sum of phi(d) over the realized union L(n), for one shift word."""
+    import numpy as np
+
     if n < 1:
         raise ValueError(f"x_value requires n >= 1, got {n}")
     if len(shifts) < n:
@@ -265,6 +272,8 @@ def x_value(shifts: Sequence[int], n: int) -> int:
 
 
 def _summarize(results: list[TrialResult], n: int) -> MonteCarloSummary:
+    import numpy as np
+
     xs = np.array([r.X for r in results], dtype=np.float64)
     mean_x = float(xs.mean())
     var_x = float(xs.var(ddof=1)) if len(xs) > 1 else None
@@ -294,6 +303,8 @@ def monte_carlo(
     The base a only matters for provenance: X and the normalized ratio
     pi^2 * X / n^2 are base-free.
     """
+    import numpy as np
+
     if a < 2:
         raise ValueError(f"base a must be >= 2, got {a}")
     if n < 1 or trials < 1:
@@ -314,6 +325,8 @@ def monte_carlo(
 
 def _all_words(n: int) -> np.ndarray:
     """All 2^n shift words as rows; bit k-1 of the row index set means s_k = +1."""
+    import numpy as np
+
     return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
 
 
@@ -338,6 +351,8 @@ def exhaustive_indicator_tables(
     Returns ({d: E[I(n,d)]}, {(d1,d2): E[I(n,d1)*I(n,d2)]}) for all
     d, d1, d2 <= 2n, each an exact count over the 2^n words.
     """
+    import numpy as np
+
     if not 1 <= n <= EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive mode requires 1 <= n <= {EXHAUSTIVE_CAP}")
     member = _union_rows(_all_words(n)).astype(np.float64)

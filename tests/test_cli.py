@@ -17,15 +17,53 @@ from cyclolcm.verify import CheckResult
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(cli_module.__file__))
 
 
-def run_cli(*args):
+def run_python(*args):
     path = [PACKAGE_ROOT, os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
-        [sys.executable, "-m", "cyclolcm", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=300,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
     )
+
+
+def run_cli(*args):
+    return run_python("-m", "cyclolcm", *args)
+
+
+# Runs `cli.main` on argv[1:] (nothing when empty), then reports whether
+# numpy got loaded.
+NUMPY_PROBE = """
+import contextlib, io, sys
+from cyclolcm import cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "args, loads_numpy",
+    [
+        ([], False),
+        (["constant", "--pattern", "--+"], False),
+        (["table", "--max-period", "3"], False),
+        (["verify", "--suite", "table1"], False),
+        (["verify", "--suite", "cover-oracle"], False),
+        (["verify", "--suite", "cyclotomic"], False),
+        (["growth", "--exact", "--base", "3", "--pattern", "-+-", "--n-max", "60",
+          "--step", "20"], False),
+        (["random", "--n", "50", "--trials", "2"], True),
+    ],
+    ids=["import", "constant", "table", "verify-table1", "verify-cover-oracle",
+         "verify-cyclotomic", "growth-exact", "random"],
+)
+def test_numpy_loads_only_where_arrays_are_built(args, loads_numpy):
+    out = run_python("-c", NUMPY_PROBE, *args)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == str(loads_numpy)
 
 
 def test_constant_known_values():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cyclolcm import (
-    cyclotomic_poly,
     cyclotomic_value,
     divisor_set,
     divisors,
@@ -103,24 +102,9 @@ def test_mobius_small():
         assert mobius(n) == mu
 
 
-def test_cyclotomic_poly_small():
-    assert cyclotomic_poly(1).coeffs == (-1, 1)
-    assert cyclotomic_poly(2).coeffs == (1, 1)
-    assert cyclotomic_poly(6).coeffs == (1, -1, 1)
-    for n in range(1, 60):
-        poly = cyclotomic_poly(n)
-        assert poly.degree == totient(n)
-        assert poly.coeffs[-1] == 1
-
-
-def test_cyclotomic_105_has_coefficient_minus_two():
-    poly = cyclotomic_poly(105)
-    outside = [i for i, c in enumerate(poly.coeffs) if abs(c) > 1]
-    assert outside, "some coefficient must leave {-1, 0, 1}"
-    assert poly.coeffs[outside[0]] == -2
-
-
-def _poly_mul(f, g):
+# Coefficient oracle for cyclotomic_value: the polynomial as an exact
+# quotient of products of (X^e - 1), coefficients in ascending degree.
+def _poly_mul(f: list[int], g: list[int]) -> list[int]:
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         for j, b in enumerate(g):
@@ -128,12 +112,80 @@ def _poly_mul(f, g):
     return out
 
 
+def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """Divide by a monic polynomial; quotient and remainder stay integral."""
+    assert den[-1] == 1, "divisor must be monic"
+    rem = list(num)
+    qdeg = len(num) - len(den)
+    quot = [0] * (qdeg + 1)
+    for i in range(qdeg, -1, -1):
+        c = rem[i + len(den) - 1]
+        quot[i] = c
+        if c:
+            for j, b in enumerate(den):
+                rem[i + j] -= c * b
+    while len(rem) > 1 and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def _x_power_minus_one(e: int) -> list[int]:
+    poly = [0] * (e + 1)
+    poly[0] = -1
+    poly[e] = 1
+    return poly
+
+
+def _horner(coeffs: tuple[int, ...], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """Exact coefficients of the n-th cyclotomic polynomial.
+
+    Built as the quotient of products of (X^(n/d) - 1) split by the sign
+    of mu(d); both products are monic so the division is exact over the
+    integers.
+    """
+    num: list[int] = [1]
+    den: list[int] = [1]
+    for d in divisors(n):
+        mu = mobius(d)
+        if mu == 1:
+            num = _poly_mul(num, _x_power_minus_one(n // d))
+        elif mu == -1:
+            den = _poly_mul(den, _x_power_minus_one(n // d))
+    quot, rem = _poly_divmod_monic(num, den)
+    assert rem == [0], f"cyclotomic quotient not exact for n={n}"
+    return tuple(quot)
+
+
+def test_cyclotomic_poly_small():
+    assert cyclotomic_poly(1) == (-1, 1)
+    assert cyclotomic_poly(2) == (1, 1)
+    assert cyclotomic_poly(6) == (1, -1, 1)
+    for n in range(1, 60):
+        coeffs = cyclotomic_poly(n)
+        assert len(coeffs) - 1 == totient(n)
+        assert coeffs[-1] == 1
+
+
+def test_cyclotomic_105_has_coefficient_minus_two():
+    coeffs = cyclotomic_poly(105)
+    outside = [i for i, c in enumerate(coeffs) if abs(c) > 1]
+    assert outside, "some coefficient must leave {-1, 0, 1}"
+    assert coeffs[outside[0]] == -2
+
+
 @pytest.mark.parametrize("n", [1, 2, 6, 12, 30, 105])
 def test_cyclotomic_product_recovers_x_power_minus_one(n):
     # independent check by polynomial multiplication
     prod = [1]
     for d in divisors(n):
-        prod = _poly_mul(prod, list(cyclotomic_poly(d).coeffs))
+        prod = _poly_mul(prod, list(cyclotomic_poly(d)))
     expected = [0] * (n + 1)
     expected[0] = -1
     expected[n] = 1
@@ -152,7 +204,7 @@ def test_cyclotomic_value_examples():
 def test_cyclotomic_value_matches_polynomial_evaluation():
     for a in (2, 3, 10):
         for n in range(1, 41):
-            assert cyclotomic_value(n, a) == cyclotomic_poly(n)(a)
+            assert cyclotomic_value(n, a) == _horner(cyclotomic_poly(n), a)
 
 
 def test_cyclotomic_value_matches_sympy():

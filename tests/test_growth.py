@@ -19,6 +19,7 @@ from cyclolcm import (
     parse_pattern,
     random_shifts,
     surrogate_series,
+    totient_sieve,
     valuation,
     write_growth_csv,
 )
@@ -99,20 +100,27 @@ def _naive_gcd(a, b):
 
 
 @pytest.mark.parametrize("a", [2, 3])
-@pytest.mark.parametrize("word", ["-", "+", "-++"])
+@pytest.mark.parametrize(
+    "word", ["-", "+", "-++", "--+", pytest.param(None, id="random")]
+)
 def test_cross_engine_consistency(a, word):
+    n = 300
+    shifts = random_shifts(11, n) if word is None else parse_pattern(word).shifts(n)
     # fold lcm left-to-right with an independent gcd implementation
-    pattern = parse_pattern(word)
-    shifts = pattern.shifts(200)
     acc = 1
     power = 1
     naive = {}
-    for k in range(1, 201):
+    for k in range(1, n + 1):
         power *= a
         term = power + shifts[k - 1]
         acc = acc // _naive_gcd(acc, term) * term
         naive[k] = acc
-    assert dict(exact_lcm_stream(a, pattern, 200)) == naive
+    assert dict(exact_lcm_stream(a, shifts, n)) == naive
+    # phi_sum is the sieve's totients summed over the brute-force union,
+    # the same integer times the same log a
+    phi = totient_sieve(2 * n)
+    for s in exact_log_lcm_series(a, shifts, n, step=30):
+        assert s.phi_sum == math.log(a) * sum(int(phi[d]) for d in oracle_L(shifts, s.n))
 
 
 def _lcm_fold(a, shifts, keep):

@@ -21,6 +21,7 @@ from cyclolcm import (
     totient,
     variance_bound,
 )
+from cyclolcm import stochastic
 from cyclolcm.stochastic import (
     EXACT_EXPECTATION_CAP,
     MC_BLOCK_CELLS,
@@ -126,6 +127,16 @@ def test_expected_x_validation():
         expected_X(EXACT_EXPECTATION_CAP + 1, "exact")
     # float mode has no cap
     assert expected_X(EXACT_EXPECTATION_CAP + 1, "float") > 0
+
+
+def test_expected_x_refuses_before_the_sieve(monkeypatch):
+    # a refused exact request allocates nothing: the sieve is never built
+    def no_sieve(limit):
+        raise AssertionError(f"totient_sieve({limit}) built before the cap check")
+
+    monkeypatch.setattr(stochastic, "totient_sieve", no_sieve)
+    with pytest.raises(ValueError, match="exact mode limited"):
+        expected_X(EXACT_EXPECTATION_CAP + 1, "exact")
 
 
 def test_x_value_bounds_and_monotonicity():
