@@ -73,10 +73,22 @@ def growth_constant(pattern: SignPattern) -> GrowthConstant:
     per-pattern shortcuts.  The value does not depend on the base a.
     """
     cover = pattern_cover(pattern)
-    total = Fraction(0)
+    modulus = cover.modulus
+    primes = list(_factorize(modulus))
+    # density_c(t, M) = w_t / (M * prod_{p | M} (p^2 - 1)) with the integer
+    # w_t = prod_{p | M} (p(p - 1) if p | t else p^2); sum w_t * num(theta)^2
+    # per den(theta)^2, then over their common multiple.
+    by_den: dict[int, int] = {}
     for t, theta in cover.slopes.items():
-        total += density_c(t, cover.modulus) * theta * theta
-    return GrowthConstant(pattern, 3 * total, cover)
+        w = theta.numerator**2
+        for p in primes:
+            w *= p * (p - 1) if t % p == 0 else p * p
+        den = theta.denominator**2
+        by_den[den] = by_den.get(den, 0) + w
+    common = math.lcm(*by_den)
+    total = sum(w * (common // den) for den, w in by_den.items())
+    scale = modulus * math.prod(p * p - 1 for p in primes) * common
+    return GrowthConstant(pattern, Fraction(3 * total, scale), cover)
 
 
 def dilog(z: float) -> float:

@@ -85,12 +85,11 @@ def pattern_cover(pattern: SignPattern) -> ProgressionCover:
     for t in range(1, 2 * m + 1):
         j_minus = _least_multiplier(word, t, -1, range(1, m + 1))
         j_plus = _least_multiplier(word, t // 2, 1, range(1, 2 * m, 2)) if t % 2 == 0 else 0
-        theta = max(
-            Fraction(1, j_minus) if j_minus else Fraction(0),
-            Fraction(2, j_plus) if j_plus else Fraction(0),
-        )
-        if theta:
-            slopes[t] = theta
+        # 2/j_plus > 1/j_minus iff j_plus < 2*j_minus (never equal: j_plus is odd)
+        if j_plus and (not j_minus or j_plus < 2 * j_minus):
+            slopes[t] = Fraction(2, j_plus)
+        elif j_minus:
+            slopes[t] = Fraction(1, j_minus)
     return ProgressionCover(2 * m, slopes)
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "totient_sieve",
     "divisors",
     "divisor_set",
-    "mobius",
     "cyclotomic_value",
 ]
 
@@ -71,9 +70,10 @@ def totient(n: int) -> int:
 
 
 # Entries per block of the segmented totient sieve: big enough that the
-# per-prime numpy calls are cheap, small enough that a block's temporaries
-# stay in cache and never reach the size of the whole array.
-SIEVE_BLOCK = 1 << 17
+# per-prime numpy calls are cheap, small enough that a block's three int64
+# temporaries (1.5 MB) stay in cache and never reach the size of the whole
+# array.
+SIEVE_BLOCK = 1 << 16
 
 
 def _primes_upto(limit: int) -> list[int]:
@@ -91,32 +91,38 @@ def _primes_upto(limit: int) -> list[int]:
 def totient_sieve(limit: int) -> np.ndarray:
     """Array phi with phi[n] = totient(n) for 0 <= n <= limit (phi[0] = 0).
 
-    Segmented: every n <= limit has at most one prime factor above
-    sqrt(limit).  Each block of SIEVE_BLOCK entries applies phi -= phi // p
-    for the primes p <= sqrt(limit) that divide its entries, divides those
-    primes out of a block-local copy of the indices, and what is left above
-    1 is the single large prime.  Each update is exact, since phi(n) stays
-    divisible by every prime of n not yet applied.
+    Prime-factor recurrence (the linear sieve of Gries and Misra uses it
+    with the least prime factor; it holds for any prime p | n): with
+    m = n / p,
+
+        phi(n) = phi(m) * (p if p | m else p - 1).
+
+    Segmented: each block [lo, hi) holds at most SIEVE_BLOCK entries and
+    never crosses a power of two, so hi <= 2 * lo and every m <= n / 2 < lo
+    is already filled in.  Within a block each prime p <= sqrt(limit) is
+    written onto its multiples, so every composite n is marked with one of
+    its primes; an entry left unmarked is a prime n, with p = n and m = 1.
+    One division, one gather and one multiply then fill the block, with
+    the factor p or p - 1 made in place of p.
     """
     import numpy as np
 
     if limit < 1:
         raise ValueError(f"totient_sieve requires limit >= 1, got {limit}")
-    phi = np.arange(limit + 1, dtype=np.int64)
+    phi = np.empty(limit + 1, dtype=np.int64)
+    phi[:2] = (0, 1)
     primes = _primes_upto(math.isqrt(limit))
-    for lo in range(0, limit + 1, SIEVE_BLOCK):
-        hi = min(lo + SIEVE_BLOCK, limit + 1)
-        block = phi[lo:hi]
-        rest = block.copy()
-        for p in primes:
-            hit = block[-lo % p :: p]
-            hit -= hit // p
-            q = p
-            while q < hi:
-                rest[-lo % q :: q] //= p
-                q *= p
-        large = rest > 1
-        block[large] -= block[large] // rest[large]
+    lo = 2
+    while lo <= limit:
+        hi = min(lo + SIEVE_BLOCK, 1 << lo.bit_length(), limit + 1)
+        m = np.arange(lo, hi, dtype=np.int64)
+        p = m.copy()
+        for q in primes:
+            p[-lo % q :: q] = q
+        m //= p
+        p -= m % p != 0
+        np.multiply(phi[m], p, out=phi[lo:hi])
+        lo = hi
     return phi
 
 
@@ -126,14 +132,6 @@ def divisors(n: int) -> list[int]:
     for p, e in _factorize(n).items():
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
-
-
-def mobius(n: int) -> int:
-    """Moebius mu(n): 0 on non-squarefree n, else (-1)^(#prime factors)."""
-    fac = _factorize(n)
-    if any(e > 1 for e in fac.values()):
-        return 0
-    return -1 if len(fac) % 2 else 1
 
 
 def divisor_set(k: int, shift: int) -> list[int]:

@@ -234,8 +234,11 @@ def surrogate_series(
 ) -> list[GrowthSample]:
     """Cover-based totient-sum series; no exact lcm, so it scales far.
 
-    One sieve up to 2*n_max turns every sample into arithmetic-progression
-    array sums over the pattern's cover classes.
+    One sieve up to 2*n_max, rounded up to a multiple of the cover's
+    modulus M, is turned in place into prefix sums along each residue
+    class: viewed as rows of M, entry [r, t - 1] becomes the sum of phi(d)
+    over d ≡ t (mod M), d <= r*M + t.  Each sample then reads one entry
+    per cover class.
     """
     if a < 2:
         raise ValueError(f"base a must be >= 2, got {a}")
@@ -243,13 +246,17 @@ def surrogate_series(
         raise ValueError(f"n_max and step must be >= 1, got ({n_max}, {step})")
     log_a = math.log(a)
     cover = pattern_cover(pattern)
-    phi = totient_sieve(max(2 * n_max, cover.modulus))
+    modulus = cover.modulus
+    phi = totient_sieve(-(-2 * n_max // modulus) * modulus)
+    sums = phi[1:].reshape(-1, modulus)
+    sums.cumsum(axis=0, out=sums)
     samples = []
     for n in sorted(_checkpoints(n_max, step)):
         phi_total = 0
         for t, theta in cover.slopes.items():
             limit = theta.numerator * n // theta.denominator
-            phi_total += int(phi[t : limit + 1 : cover.modulus].sum())
+            if limit >= t:
+                phi_total += int(sums[(limit - t) // modulus, t - 1])
         phi_sum = phi_total * log_a
         norm = log_a / math.pi**2 * n * n
         samples.append(GrowthSample(n, None, phi_sum, None, phi_sum / norm))

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .constants import random_model_constant
-from .cyclotomic import totient_sieve
+from .cyclotomic import totient, totient_sieve
 from .patterns import _plus_rows, subseed
 
 if TYPE_CHECKING:  # at run time numpy loads only in the functions that build arrays
@@ -129,7 +129,8 @@ def expected_X(n: int, mode: str = "exact") -> Fraction | float:
     """E[X] = sum_{d <= 2n} phi(d) * (1 - 2^-floor(n*gcd(2,d)/d)).
 
     mode="exact" returns the Fraction (denominator a power of two up to
-    2^n, hence the cap); mode="float" sums in float64 and scales to any n.
+    2^n, hence the cap) and takes each phi(d) from totient(d), building no
+    array; mode="float" sums in float64 over a sieve and scales to any n.
     """
     if n < 1:
         raise ValueError(f"expected_X requires n >= 1, got {n}")
@@ -140,10 +141,10 @@ def expected_X(n: int, mode: str = "exact") -> Fraction | float:
             f"exact mode limited to n <= {EXACT_EXPECTATION_CAP} (denominators "
             f"reach 2^n); requested n={n}, use mode='float'"
         )
-    phi = totient_sieve(2 * n)
     if mode == "float":
         import numpy as np
 
+        phi = totient_sieve(2 * n)
         d = np.arange(1, 2 * n + 1)
         terms = phi[1:] * (1.0 - np.ldexp(1.0, -(n * np.gcd(2, d) // d)))
         # cumsum adds left to right, as a Python loop would; np.sum is
@@ -154,8 +155,9 @@ def expected_X(n: int, mode: str = "exact") -> Fraction | float:
     phi_total = 0
     for d in range(1, 2 * n + 1):
         e = _floor_exponent(n, d)
-        phi_by_exp[e] = phi_by_exp.get(e, 0) + int(phi[d])
-        phi_total += int(phi[d])
+        phi_d = totient(d)
+        phi_by_exp[e] = phi_by_exp.get(e, 0) + phi_d
+        phi_total += phi_d
     emax = max(phi_by_exp)
     numerator = sum(w << (emax - e) for e, w in phi_by_exp.items())
     return phi_total - Fraction(numerator, 1 << emax)

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclolcm import (
@@ -71,8 +71,15 @@ def test_doubling_invariance(word):
     assert once == twice
 
 
-def test_constant_recomputable_from_cover():
-    gc = growth_constant(parse_pattern("-+-++"))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    word=st.integers(1, MAX_PERIOD).flatmap(
+        lambda m: st.text(alphabet="-+", min_size=m, max_size=m)
+    )
+)
+@example(word="-+-++")
+def test_constant_recomputable_from_cover(word):
+    gc = growth_constant(parse_pattern(word))
     total = sum(
         density_c(t, gc.cover.modulus) * theta**2
         for t, theta in gc.cover.slopes.items()

@@ -14,7 +14,7 @@ from cyclolcm import (
     totient_sieve,
 )
 from cyclolcm import cyclotomic
-from cyclolcm.cyclotomic import _factorize, mobius
+from cyclolcm.cyclotomic import _factorize
 
 
 def brute_totient(n):
@@ -52,11 +52,13 @@ def fresh_factor_cache(monkeypatch):
 
 
 def test_totient_sieve_block_edges(fresh_factor_cache):
-    # limits around the block size, where the segments start and end
+    # limits around the block size and the powers of two, where the
+    # segments start and end
     block = cyclotomic.SIEVE_BLOCK
-    top = 3 * block
+    top = max(3 * block, 2**18 + 1)
     reference = [0] + [totient(n) for n in range(1, top + 1)]
-    for limit in (1, 2, 3, 4, 97, block - 1, block, block + 1, top):
+    powers = [2**k + e for k in range(1, 19) for e in (-1, 0, 1)]
+    for limit in (1, 2, 3, 4, 97, block - 1, block, block + 1, top, *powers):
         phi = totient_sieve(limit)
         assert phi.dtype == np.int64
         assert phi.tolist() == reference[: limit + 1]
@@ -94,6 +96,14 @@ def test_divisor_set_structure():
         assert plus == [d for d in brute_divisors(2 * k) if 2 * k % d == 0 and k % d]
         assert all(d % 2 == 0 for d in plus)
         assert not set(minus) & set(plus)
+
+
+def mobius(n: int) -> int:
+    """Moebius mu(n): 0 on non-squarefree n, else (-1)^(#prime factors)."""
+    fac = _factorize(n)
+    if any(e > 1 for e in fac.values()):
+        return 0
+    return -1 if len(fac) % 2 else 1
 
 
 def test_mobius_small():

@@ -19,6 +19,7 @@ from cyclolcm import (
     parse_pattern,
     random_shifts,
     surrogate_series,
+    totient,
     totient_sieve,
     valuation,
     write_growth_csv,
@@ -29,6 +30,7 @@ from cyclolcm.growth import (
     GROWTH_CSV_HEADER,
     _exact_steps,
 )
+from cyclolcm.patterns import MAX_PERIOD, SignPattern
 
 LN2 = math.log(2)
 
@@ -220,14 +222,36 @@ def test_surrogate_small_sums():
     assert abs(samples[-1].phi_sum - 5 * LN2) < 1e-12
 
 
-def test_surrogate_matches_oracle_sum():
-    from cyclolcm import totient
+def _assert_surrogate_is_oracle_sum(a, pattern, n_max, step):
+    # the same integer times the same log a: equal to the last bit
+    samples = surrogate_series(a, pattern, n_max, step)
+    assert [s.n for s in samples] == sorted({*range(step, n_max + 1, step), n_max})
+    for s in samples:
+        phi_total = sum(totient(d) for d in oracle_L(pattern, s.n))
+        assert s.phi_sum == phi_total * math.log(a), (pattern, s.n)
 
-    pattern = parse_pattern("-+-")
-    for n in (10, 50, 137):
-        sample = surrogate_series(2, pattern, n, step=n)[-1]
-        expected = sum(totient(d) for d in oracle_L(pattern, n)) * LN2
-        assert abs(sample.phi_sum - expected) < 1e-9 * max(expected, 1)
+
+def test_surrogate_matches_oracle_sum():
+    # every n, then uneven steps whose last sample is n_max itself
+    cases = [("-+-", 137, 1), ("-+-", 137, 10), ("--+-+", 200, 7), ("+", 64, 1), ("-++", 90, 89)]
+    for word, n_max, step in cases:
+        _assert_surrogate_is_oracle_sum(2, parse_pattern(word), n_max, step)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    word=st.integers(1, MAX_PERIOD).flatmap(
+        lambda m: st.lists(st.sampled_from((-1, 1)), min_size=m, max_size=m)
+    ),
+    data=st.data(),
+)
+def test_surrogate_matches_oracle_sum_below_the_modulus(word, data):
+    # n_max < 2m, so the classes with t > theta * n_max are still empty
+    pattern = SignPattern(tuple(word))
+    n_max = data.draw(st.integers(1, 2 * pattern.period - 1))
+    step = data.draw(st.integers(1, n_max))
+    a = data.draw(st.integers(2, 10))
+    _assert_surrogate_is_oracle_sum(a, pattern, n_max, step)
 
 
 def test_surrogate_converges_for_all_minus():
