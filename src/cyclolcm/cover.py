@@ -93,6 +93,20 @@ def pattern_cover(pattern: SignPattern) -> ProgressionCover:
     return ProgressionCover(2 * m, slopes)
 
 
+def _cover_entry_times(cover: ProgressionCover, x: int) -> dict[int, int]:
+    """{d: ceil(d / theta_t)} for every d of the cover evaluated at x.
+
+    d joins the cover at the least x with d <= theta_t * x, i.e.
+    x = ceil(d / theta_t); membership at x is d <= floor(theta_t * x).
+    """
+    times: dict[int, int] = {}
+    for t, theta in cover.slopes.items():
+        num, den = theta.numerator, theta.denominator
+        for d in range(t, num * x // den + 1, cover.modulus):
+            times[d] = -(-d * den // num)
+    return times
+
+
 def cover_members(cover: ProgressionCover, x: int) -> list[int]:
     """All d in the cover evaluated at x, sorted.
 
@@ -101,11 +115,16 @@ def cover_members(cover: ProgressionCover, x: int) -> list[int]:
     """
     if x < 1:
         raise ValueError(f"cover_members requires x >= 1, got {x}")
-    out: set[int] = set()
-    for t, theta in cover.slopes.items():
-        limit = theta.numerator * x // theta.denominator
-        out.update(range(t, limit + 1, cover.modulus))
-    return sorted(out)
+    return sorted(_cover_entry_times(cover, x))
+
+
+def _entry_times(shifts: Sequence[int], n: int) -> dict[int, int]:
+    """{d: least k <= n with d in divisor_set(k, s_k)}: the literal union's entry times."""
+    times: dict[int, int] = {}
+    for k in range(1, n + 1):
+        for d in divisor_set(k, shifts[k - 1]):
+            times.setdefault(d, k)
+    return times
 
 
 def oracle_L(shifts: SignPattern | Sequence[int], n: int) -> list[int]:
@@ -117,8 +136,4 @@ def oracle_L(shifts: SignPattern | Sequence[int], n: int) -> list[int]:
     """
     if n < 1:
         raise ValueError(f"oracle_L requires n >= 1, got {n}")
-    seq = _shift_list(shifts, n)
-    out: set[int] = set()
-    for k in range(1, n + 1):
-        out.update(divisor_set(k, seq[k - 1]))
-    return sorted(out)
+    return sorted(_entry_times(_shift_list(shifts, n), n))

@@ -10,8 +10,10 @@ a^n + s for a shift s in {-1, +1} is
 so that a^n + s factors over it as a product of cyclotomic values.
 
 Factorizations are obtained by trial division and memoized in a module
-cache; the cache is only ever appended to under the GIL, so concurrent
-callers see the same results as serial ones.
+cache, and divisor lists likewise (stored as tuples, handed out as fresh
+lists, so no caller can change the cache); the caches are only ever
+appended to under the GIL, so concurrent callers see the same results as
+serial ones.
 """
 
 from __future__ import annotations
@@ -126,12 +128,18 @@ def totient_sieve(limit: int) -> np.ndarray:
     return phi
 
 
+_divisor_cache: dict[int, tuple[int, ...]] = {}
+
+
 def divisors(n: int) -> list[int]:
-    """Sorted list of positive divisors of n."""
-    divs = [1]
-    for p, e in _factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+    """Sorted list of positive divisors of n (a fresh list from the cache)."""
+    cached = _divisor_cache.get(n)
+    if cached is None:
+        divs = [1]
+        for p, e in _factorize(n).items():
+            divs = [d * p**k for d in divs for k in range(e + 1)]
+        cached = _divisor_cache[n] = tuple(sorted(divs))
+    return list(cached)
 
 
 def divisor_set(k: int, shift: int) -> list[int]:

@@ -110,26 +110,24 @@ def _shift_list(shifts: SignPattern | Sequence[int], n: int) -> list[int]:
     return list(shifts[:n])
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 output function applied to raw 64-bit states (uint64)."""
-    import numpy as np
+def _mix64(x: int | np.ndarray) -> int | np.ndarray:
+    """SplitMix64 output function applied to raw 64-bit states.
 
-    with np.errstate(over="ignore"):
-        z = x + np.uint64(_GOLDEN)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-    return z
+    Exact on a Python int and on a uint64 array alike: each add and
+    multiply is reduced mod 2^64, which on the array is the wraparound
+    numpy already does.
+    """
+    z = (x + _GOLDEN) & _MASK64
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def subseed(seed: int, trial_index: int) -> int:
     """Per-trial sub-seed: seed XOR mix64(trial_index)."""
-    import numpy as np
-
-    mixed = _mix64(np.array([trial_index & _MASK64], dtype=np.uint64))
-    return (seed ^ int(mixed[0])) & _MASK64
+    return (seed ^ _mix64(trial_index & _MASK64)) & _MASK64
 
 
 def _plus_rows(seeds: np.ndarray, n: int) -> np.ndarray:
@@ -139,18 +137,14 @@ def _plus_rows(seeds: np.ndarray, n: int) -> np.ndarray:
     """
     import numpy as np
 
-    with np.errstate(over="ignore"):
-        states = seeds[:, None] + np.uint64(_GOLDEN) * np.arange(n, dtype=np.uint64)
-    return (_mix64(states) >> np.uint64(63)).astype(bool)
+    states = seeds[:, None] + _GOLDEN * np.arange(n, dtype=np.uint64)
+    return (_mix64(states) >> 63).astype(bool)
 
 
 def random_shifts(seed: int, n: int) -> list[int]:
     """First n shifts of the stream seeded with `seed`."""
-    import numpy as np
-
     if n < 1:
         raise ValueError(f"random_shifts requires n >= 1, got {n}")
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
-    plus = _plus_rows(np.array([seed], dtype=np.uint64), n)[0]
-    return np.where(plus, 1, -1).tolist()
+    return [1 if _mix64(seed + i * _GOLDEN) >> 63 else -1 for i in range(n)]

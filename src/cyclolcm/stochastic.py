@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .constants import random_model_constant
 from .cyclotomic import totient, totient_sieve
@@ -42,8 +42,6 @@ __all__ = [
     "expected_X",
     "variance_bound",
     "gcd_pair_sum",
-    "gcd_pair_sum_bruteforce",
-    "x_value",
     "monte_carlo",
     "exhaustive_trials",
     "exhaustive_indicator_tables",
@@ -215,19 +213,6 @@ def gcd_pair_sum(n: int) -> int:
     return total
 
 
-def gcd_pair_sum_bruteforce(n: int) -> int:
-    """Independent oracle for gcd_pair_sum: literal double loop."""
-    if n < 1:
-        raise ValueError(f"gcd_pair_sum requires n >= 1, got {n}")
-    total = 0
-    for d1 in range(1, n + 1):
-        for d2 in range(1, n + 1):
-            g = math.gcd(d1, d2)
-            if d1 * d2 <= n * g:  # lcm <= n
-                total += g
-    return total
-
-
 def _union_rows(plus: np.ndarray) -> np.ndarray:
     """Membership flags of L(n) over d = 0..2n, one row per shift word.
 
@@ -255,22 +240,6 @@ def _union_rows(plus: np.ndarray) -> np.ndarray:
         if j % 2:
             doubled[:, cols] |= plus[:, ks]
     return flags
-
-
-def x_value(shifts: Sequence[int], n: int) -> int:
-    """X = sum of phi(d) over the realized union L(n), for one shift word."""
-    import numpy as np
-
-    if n < 1:
-        raise ValueError(f"x_value requires n >= 1, got {n}")
-    if len(shifts) < n:
-        raise ValueError(f"need at least {n} shifts, got {len(shifts)}")
-    row = np.asarray(shifts[:n])
-    bad = row[(row != -1) & (row != 1)]
-    if bad.size:
-        raise ValueError(f"shift must be -1 or +1, got {bad[0]}")
-    flags = _union_rows((row == 1)[None])[0]
-    return int(totient_sieve(2 * n)[flags].sum())
 
 
 def _summarize(results: list[TrialResult], n: int) -> MonteCarloSummary:

@@ -8,7 +8,10 @@ Four named suites, each a list of named checks that either pass or fail:
 * ``cover-oracle``     -- progression covers against the brute-force
                           divisor-set union, every nonempty word of
                           period <= 5 (62 words), every n <= 500, exact
-                          set equality.
+                          set equality.  Both sides only grow with n, so
+                          they agree at every n <= 500 iff each d enters
+                          both at the same n: the check compares the two
+                          first-entry-time maps once.
 * ``cyclotomic``       -- product identities prod phi_d(a) = a^n -/+ 1
                           for n <= 200, a in {2, 3, 10}, and the pairwise
                           gcd divisibility (phi_m(a), phi_n(a)) | m for
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .cover import pattern_cover
+from .cover import _cover_entry_times, _entry_times, pattern_cover
 from .cyclotomic import cyclotomic_value, divisor_set
 from .constants import growth_constant
 from .patterns import SignPattern, parse_pattern
@@ -146,54 +149,31 @@ def suite_table1() -> list[CheckResult]:
     return results
 
 
-def _divisor_table(n_max: int) -> dict[int, list[list[int]]]:
-    """divisor_set(n, s) for both shifts s and every 1 <= n <= n_max."""
-    return {s: [divisor_set(n, s) for n in range(1, n_max + 1)] for s in (-1, 1)}
-
-
-def _cover_matches_oracle(
-    pattern: SignPattern,
-    n_max: int,
-    table: dict[int, list[list[int]]] | None = None,
-) -> tuple[bool, str]:
+def _cover_matches_oracle(pattern: SignPattern, n_max: int) -> tuple[bool, str]:
     """Exact set equality cover vs oracle at every 1 <= n <= n_max.
 
-    Both sides grow monotonically, so each is maintained incrementally;
-    the comparison at each n is still a literal set equality.  The oracle
-    side reads divisor_set(n, s_n) from `table`, which callers checking
-    many words may build once with _divisor_table(n_max).
+    Both sides only grow with n, so each is fixed by its entry-time map
+    {d: least n at which d joins}, and the sides agree at every n <= n_max
+    iff the two maps are equal.  Otherwise they first differ at the least
+    entry time among the (d, n) pairs that only one map holds.
     """
-    table = table or _divisor_table(n_max)
-    cover = pattern_cover(pattern)
-    classes = [
-        (t, theta.numerator, theta.denominator)
-        for t, theta in sorted(cover.slopes.items())
-    ]
-    cover_set: set[int] = set()
-    oracle_set: set[int] = set()
-    next_d = {t: t for t, _, _ in classes}
-    for n in range(1, n_max + 1):
-        for t, num, den in classes:
-            lim = num * n // den
-            d = next_d[t]
-            while d <= lim:
-                cover_set.add(d)
-                d += cover.modulus
-            next_d[t] = d
-        oracle_set.update(table[pattern.shift_at(n)][n - 1])
-        if cover_set != oracle_set:
-            extra = sorted(cover_set - oracle_set)[:5]
-            missing = sorted(oracle_set - cover_set)[:5]
-            return False, f"n={n}: cover-only {extra}, oracle-only {missing}"
-    return True, ""
+    cover = _cover_entry_times(pattern_cover(pattern), n_max)
+    oracle = _entry_times(pattern.shifts(n_max), n_max)
+    if cover == oracle:
+        return True, ""
+    n = min(k for _, k in cover.items() ^ oracle.items())
+    cover_set = {d for d, k in cover.items() if k <= n}
+    oracle_set = {d for d, k in oracle.items() if k <= n}
+    extra = sorted(cover_set - oracle_set)[:5]
+    missing = sorted(oracle_set - cover_set)[:5]
+    return False, f"n={n}: cover-only {extra}, oracle-only {missing}"
 
 
 def suite_cover_oracle(n_max: int = 500, max_period: int = 5) -> list[CheckResult]:
     """Cover calculus vs brute force for all words of period <= 5."""
-    table = _divisor_table(n_max)
     results = []
     for word in all_sign_words(max_period):
-        ok, detail = _cover_matches_oracle(parse_pattern(word), n_max, table)
+        ok, detail = _cover_matches_oracle(parse_pattern(word), n_max)
         results.append(CheckResult(f"cover {word} n<={n_max}", ok, detail))
     return results
 

@@ -27,13 +27,14 @@ from cyclolcm import (
     variance_bound,
 )
 from cyclolcm.growth import ENVELOPE_K
-from cyclolcm.stochastic import gcd_pair_sum, gcd_pair_sum_bruteforce
+from cyclolcm.stochastic import gcd_pair_sum
 from cyclolcm.verify import (
     suite_cover_oracle,
     suite_cyclotomic,
     suite_stochastic_oracle,
     suite_table1,
 )
+from test_stochastic import gcd_pair_sum_bruteforce
 
 SEED = 0x5EEDC0DE
 

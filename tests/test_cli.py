@@ -55,12 +55,15 @@ print("numpy" in sys.modules)
         (["verify", "--suite", "cyclotomic"], False),
         (["growth", "--exact", "--base", "3", "--pattern", "-+-", "--n-max", "60",
           "--step", "20"], False),
+        (["growth", "--exact", "--base", "2", "--random", "--seed", "7", "--n-max", "60",
+          "--step", "20"], False),
         (["random", "--n", "50", "--trials", "2"], True),
         (["expect", "--n", "50", "--exact"], False),
         (["expect", "--n", "50"], True),
     ],
     ids=["import", "constant", "table", "verify-table1", "verify-cover-oracle",
-         "verify-cyclotomic", "growth-exact", "random", "expect-exact", "expect-float"],
+         "verify-cyclotomic", "growth-exact", "growth-exact-random", "random",
+         "expect-exact", "expect-float"],
 )
 def test_numpy_loads_only_where_arrays_are_built(args, loads_numpy):
     out = run_python("-c", NUMPY_PROBE, *args)

@@ -14,6 +14,7 @@ from cyclolcm import (
     parse_pattern,
     pattern_cover,
 )
+from cyclolcm import verify
 from cyclolcm.patterns import MAX_PERIOD, SignPattern
 from cyclolcm.verify import _cover_matches_oracle
 
@@ -91,6 +92,39 @@ def test_cover_equals_oracle_random_patterns(word):
     # minus-side slopes 1/j only
     for t, theta in pattern_cover(pattern).slopes.items():
         assert 0 < theta <= (1 if t % 2 else 2)
+
+
+def first_mismatch_by_scan(cover, pattern, n_max):
+    """_cover_matches_oracle's detail, found by comparing the two sets at every n."""
+    for n in range(1, n_max + 1):
+        got, want = set(cover_members(cover, n)), set(oracle_L(pattern, n))
+        if got != want:
+            extra, missing = sorted(got - want)[:5], sorted(want - got)[:5]
+            return n, f"n={n}: cover-only {extra}, oracle-only {missing}"
+    return None, ""
+
+
+@pytest.mark.parametrize(
+    "word, slopes",
+    [
+        ("-", {1: F(2)}),  # a slope raised and a class dropped
+        ("+", {1: F(1, 3), 2: F(2)}),  # a class added
+        ("--+", {1: F(1), 2: F(1, 2), 4: F(1), 5: F(1), 6: F(2)}),  # a slope lowered
+        ("+-", {1: F(2, 3), 2: F(2), 3: F(1, 2), 4: F(1)}),  # a slope raised
+        ("-+-++", {1: F(1), 2: F(2), 3: F(1, 3), 4: F(2, 5), 6: F(2, 3), 7: F(1, 2),
+                   8: F(2), 10: F(1, 5)}),  # slopes raised and lowered, a class dropped
+    ],
+)
+def test_cover_mismatch_detail_matches_per_n_scan(monkeypatch, word, slopes):
+    pattern = parse_pattern(word)
+    bad = ProgressionCover(2 * pattern.period, slopes)
+    assert bad != pattern_cover(pattern)
+    monkeypatch.setattr(verify, "pattern_cover", lambda p: bad)
+    n, detail = first_mismatch_by_scan(bad, pattern, 60)
+    assert n is not None
+    assert _cover_matches_oracle(pattern, 60) == (False, detail)
+    if n > 1:
+        assert _cover_matches_oracle(pattern, n - 1) == (True, "")
 
 
 def test_slope_ranges_and_parity():

@@ -82,6 +82,15 @@ def test_divisor_set_examples():
     assert divisor_set(4, 1) == [8]
 
 
+def test_divisors_hand_out_fresh_lists():
+    # divisors are memoised; a caller changing its list must not change the cache
+    for get in (lambda: divisors(12), lambda: divisor_set(12, -1)):
+        first = get()
+        first.append(99)
+        first[0] = 0
+        assert get() == [1, 2, 3, 4, 6, 12]
+
+
 @pytest.mark.parametrize("shift", [0, 2, -2])
 def test_divisor_set_rejects_other_shifts(shift):
     with pytest.raises(ValueError, match="shift must be -1 or \\+1"):

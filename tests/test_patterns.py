@@ -1,12 +1,13 @@
 """Sign pattern parsing and the reproducible random shift stream."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from cyclolcm import parse_pattern, random_shifts, subseed
-from cyclolcm.patterns import MAX_PERIOD, PatternError, _mix64
+from cyclolcm.patterns import MAX_PERIOD, PatternError, _mix64, _plus_rows
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -83,6 +84,8 @@ def test_splitmix64_known_vectors():
         [(1234567 + i * GOLDEN) & MASK64 for i in range(5)], dtype=np.uint64
     )
     assert _mix64(states).tolist() == splitmix64_words(1234567, 5)
+    # the same function on Python ints, unbounded inputs reduced mod 2^64
+    assert [_mix64(1234567 + i * GOLDEN) for i in range(5)] == splitmix64_words(1234567, 5)
 
 
 def test_random_shifts_match_scalar_splitmix64():
@@ -91,6 +94,14 @@ def test_random_shifts_match_scalar_splitmix64():
             assert random_shifts(seed, n) == splitmix64_shifts(seed, n)
     for t in (0, 1, 2, 1000, MASK64):
         assert subseed(0x5EEDC0DE, t) == 0x5EEDC0DE ^ splitmix64_words(t, 1)[0]
+
+
+def test_shift_streams_raise_no_overflow_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        random_shifts(MASK64, 3000)
+        subseed(MASK64, MASK64)
+        _plus_rows(np.array([0, 2**63, MASK64], dtype=np.uint64), 3000)
 
 
 def test_random_shifts_values_and_mean():

@@ -19,6 +19,7 @@ from cyclolcm import (
     random_shifts,
     subseed,
     totient,
+    totient_sieve,
     variance_bound,
 )
 from cyclolcm import stochastic
@@ -28,8 +29,6 @@ from cyclolcm.stochastic import (
     _union_rows,
     exhaustive_indicator_tables,
     exhaustive_trials,
-    gcd_pair_sum_bruteforce,
-    x_value,
 )
 
 
@@ -139,21 +138,8 @@ def test_expected_x_refuses_before_the_sieve(monkeypatch):
         expected_X(EXACT_EXPECTATION_CAP + 1, "exact")
 
 
-def test_x_value_bounds_and_monotonicity():
-    word = random_shifts(424242, 40)
-    phi_total = 0
-    prev = 0
-    for n in range(1, 41):
-        x = x_value(word, n)
-        assert x >= prev, "X is nondecreasing in n for a fixed word"
-        prev = x
-        assert 0 <= x <= sum(totient(d) for d in range(1, 2 * n + 1))
-
-
-def test_x_value_rejects_bad_shifts():
+def test_oracle_L_rejects_bad_shifts():
     for word in ([1, 0, -1], [1, 2, -1]):
-        with pytest.raises(ValueError, match="shift must be -1 or \\+1"):
-            x_value(word, 3)
         with pytest.raises(ValueError, match="shift must be -1 or \\+1"):
             oracle_L(word, 3)
 
@@ -189,6 +175,17 @@ def test_variance_bound_cubic_scale():
     assert max(ratios) / min(ratios) <= 1.2  # stable, no superlinear drift
 
 
+def gcd_pair_sum_bruteforce(n: int) -> int:
+    """Independent oracle for gcd_pair_sum: literal double loop."""
+    total = 0
+    for d1 in range(1, n + 1):
+        for d2 in range(1, n + 1):
+            g = math.gcd(d1, d2)
+            if d1 * d2 <= n * g:  # lcm <= n
+                total += g
+    return total
+
+
 def test_gcd_pair_sum_small():
     assert gcd_pair_sum(1) == 1
     # ordered pairs with lcm <= 4: brute force confirms the decomposition
@@ -218,18 +215,25 @@ def test_monte_carlo_reproducible():
 def test_monte_carlo_matches_per_trial_reference():
     # trial counts on both sides of the batch size: the last batch is a
     # single row or one row short; with n above the cell budget every
-    # batch is one row
+    # batch is one row.  The reference runs each trial on its own, as one
+    # row through the union kernel.
     for n, trials in (
         (20000, MC_BLOCK_CELLS // 20000 + 1),
         (9973, 2 * (MC_BLOCK_CELLS // 9973) - 1),
         (MC_BLOCK_CELLS + 1, 2),
     ):
+        phi = totient_sieve(2 * n)
         results, _ = monte_carlo(2, n, trials, 123)
         assert [r.trial_index for r in results] == list(range(trials))
         for t, r in enumerate(results):
             s = subseed(123, t)
-            x = x_value(random_shifts(s, n), n)
+            plus = np.array(random_shifts(s, n)) == 1
+            x = int(phi[_union_rows(plus[None])[0]].sum())
             assert (r.seed, r.n, r.X, r.ratio) == (s, n, x, x * (math.pi**2 / (n * n)))
+    # at a small n the literal union weighted by totient agrees as well
+    results, _ = monte_carlo(2, 60, 5, 123)
+    for r in results:
+        assert r.X == sum(totient(d) for d in oracle_L(random_shifts(r.seed, 60), 60))
 
 
 def brute_union(plus_row, n):
