@@ -6,84 +6,38 @@ C * (log a / pi^2) * n^2.  This package computes C exactly (as a reduced
 rational) for every periodic shift pattern, evaluates the random-shift
 constant 6 * Li2(1/2), and provides exact big-integer engines, totient-sum
 surrogates, and seeded Monte Carlo experiments to watch the convergence.
+
+Each exported name loads its defining module on first use (PEP 562), so
+`import cyclolcm` itself loads no submodule.
 """
 
-from .exact_arith import log_big, valuation
-from .cyclotomic import (
-    cyclotomic_value,
-    divisor_set,
-    divisors,
-    totient,
-    totient_sieve,
-)
-from .patterns import SignPattern, parse_pattern, random_shifts, subseed
-from .cover import (
-    ProgressionCover,
-    cover_members,
-    oracle_L,
-    pattern_cover,
-)
-from .constants import (
-    GrowthConstant,
-    density_c,
-    dilog,
-    growth_constant,
-    random_model_constant,
-)
-from .growth import (
-    GrowthSample,
-    convergence_report,
-    exact_lcm_stream,
-    exact_log_lcm_series,
-    surrogate_series,
-    write_growth_csv,
-)
-from .stochastic import (
-    TrialResult,
-    expected_X,
-    exhaustive_trials,
-    gcd_pair_sum,
-    indicator_expectation,
-    monte_carlo,
-    pair_expectation,
-    variance_bound,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "valuation",
-    "log_big",
-    "cyclotomic_value",
-    "divisor_set",
-    "divisors",
-    "totient",
-    "totient_sieve",
-    "SignPattern",
-    "parse_pattern",
-    "random_shifts",
-    "subseed",
-    "ProgressionCover",
-    "pattern_cover",
-    "cover_members",
-    "oracle_L",
-    "GrowthConstant",
-    "density_c",
-    "growth_constant",
-    "dilog",
-    "random_model_constant",
-    "GrowthSample",
-    "exact_lcm_stream",
-    "exact_log_lcm_series",
-    "surrogate_series",
-    "convergence_report",
-    "write_growth_csv",
-    "TrialResult",
-    "indicator_expectation",
-    "pair_expectation",
-    "expected_X",
-    "variance_bound",
-    "gcd_pair_sum",
-    "monte_carlo",
-    "exhaustive_trials",
-]
+# Public name -> the submodule that defines it.
+_HOME = {
+    name: module
+    for module, names in {
+        "exact_arith": "valuation log_big",
+        "cyclotomic": "cyclotomic_value divisor_set divisors totient totient_sieve",
+        "patterns": "SignPattern parse_pattern random_shifts subseed",
+        "cover": "ProgressionCover pattern_cover cover_members oracle_L",
+        "constants": "GrowthConstant density_c growth_constant dilog random_model_constant",
+        "growth": "GrowthSample exact_lcm_stream exact_log_lcm_series surrogate_series "
+        "convergence_report write_growth_csv",
+        "stochastic": "TrialResult indicator_expectation pair_expectation expected_X "
+        "variance_bound gcd_pair_sum monte_carlo exhaustive_trials",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    """Load the defining module of a public name and keep the object here."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value

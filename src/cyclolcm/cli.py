@@ -23,16 +23,8 @@ import argparse
 import json
 import sys
 
-from .constants import growth_constant, random_model_constant
-from .growth import (
-    EXACT_ENGINE_CAP,
-    exact_log_lcm_series,
-    surrogate_series,
-    write_growth_csv,
-)
-from .patterns import PatternError, parse_pattern, random_shifts
-from .stochastic import EXACT_EXPECTATION_CAP, expected_X, monte_carlo
-from .verify import SUITES, all_sign_words
+# Each command imports the engine it runs inside its own body, so a
+# process loads only the modules of the command it was started for.
 
 __all__ = ["main"]
 
@@ -70,6 +62,8 @@ def _parse_seed(text: str) -> int:
 
 
 def _pattern_or_die(text: str):
+    from .patterns import PatternError, parse_pattern
+
     try:
         return parse_pattern(text)
     except PatternError as exc:
@@ -77,6 +71,8 @@ def _pattern_or_die(text: str):
 
 
 def cmd_constant(args) -> int:
+    from .constants import growth_constant
+
     gc = growth_constant(_pattern_or_die(args.pattern))
     if args.format == "json" or args.explain:
         obj = {"schema": SCHEMA_VERSION, **gc.to_json_obj()}
@@ -89,6 +85,9 @@ def cmd_constant(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .constants import growth_constant
+    from .verify import all_sign_words
+
     if not 1 <= args.max_period <= 8:
         raise UsageError(f"--max-period must be in 1..8, got {args.max_period}")
     rows = [
@@ -111,6 +110,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_growth(args) -> int:
+    from .constants import growth_constant, random_model_constant
+    from .growth import EXACT_ENGINE_CAP, exact_log_lcm_series, surrogate_series, write_growth_csv
+    from .patterns import random_shifts
+
     if args.base < 2:
         raise UsageError(f"--base must be >= 2, got {args.base}")
     if args.n_max < 1 or args.step < 1:
@@ -153,6 +156,8 @@ def cmd_growth(args) -> int:
 
 
 def cmd_random(args) -> int:
+    from .stochastic import monte_carlo
+
     if args.base < 2:
         raise UsageError(f"--base must be >= 2, got {args.base}")
     if args.n < 1 or args.trials < 1:
@@ -180,6 +185,8 @@ def cmd_random(args) -> int:
 
 
 def cmd_expect(args) -> int:
+    from .stochastic import EXACT_EXPECTATION_CAP, expected_X
+
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     if args.exact:
@@ -196,6 +203,8 @@ def cmd_expect(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import SUITES
+
     suite = SUITES.get(args.suite)
     if suite is None:
         raise UsageError(

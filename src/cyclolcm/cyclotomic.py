@@ -10,10 +10,10 @@ a^n + s for a shift s in {-1, +1} is
 so that a^n + s factors over it as a product of cyclotomic values.
 
 Factorizations are obtained by trial division and memoized in a module
-cache, and divisor lists likewise (stored as tuples, handed out as fresh
-lists, so no caller can change the cache); the caches are only ever
-appended to under the GIL, so concurrent callers see the same results as
-serial ones.
+cache, and divisor lists and the s = +1 divisor sets likewise (stored as
+tuples, handed out as fresh lists, so no caller can change the cache);
+the caches are only ever appended to under the GIL, so concurrent callers
+see the same results as serial ones.
 """
 
 from __future__ import annotations
@@ -129,6 +129,7 @@ def totient_sieve(limit: int) -> np.ndarray:
 
 
 _divisor_cache: dict[int, tuple[int, ...]] = {}
+_plus_set_cache: dict[int, tuple[int, ...]] = {}
 
 
 def divisors(n: int) -> list[int]:
@@ -153,7 +154,10 @@ def divisor_set(k: int, shift: int) -> list[int]:
     if shift == -1:
         return divisors(k)
     if shift == 1:
-        return [d for d in divisors(2 * k) if k % d]
+        cached = _plus_set_cache.get(k)
+        if cached is None:
+            cached = _plus_set_cache[k] = tuple(d for d in divisors(2 * k) if k % d)
+        return list(cached)
     raise ValueError(f"shift must be -1 or +1, got {shift}")
 
 

@@ -13,9 +13,13 @@ E[X] ~ (6/pi^2) * Li2(1/2) * n^2 and variance O(n^3), which Chebyshev
 turns into concentration.
 
 Everything here is either an exact rational (Fraction, denominators powers
-of two) or a reproducible seeded simulation.  For n <= 12 the module can
-enumerate all 2^n shift words outright; that exhaustive oracle is what the
-tests use to adjudicate the expectation formulas, floors and all.
+of two) or a reproducible seeded simulation.  For n <= EXHAUSTIVE_CAP
+the module can enumerate all 2^n shift words outright; that exhaustive
+oracle is what the tests and `verify --suite stochastic-oracle` use to
+adjudicate the expectation formulas, floors and all.  The indicator tables hold each set
+of words as one Python int of 2^n bits (bit w for word w), so the literal
+union is a handful of big-integer ORs per k and every count a popcount,
+with no array library involved.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .constants import random_model_constant
-from .cyclotomic import totient, totient_sieve
+from .cyclotomic import divisor_set, totient, totient_sieve
 from .patterns import _plus_rows, subseed
 
 if TYPE_CHECKING:  # at run time numpy loads only in the functions that build arrays
@@ -114,13 +118,15 @@ def pair_expectation(n: int, d1: int, d2: int) -> Fraction:
     e1 = _floor_exponent(n, d1)
     e2 = _floor_exponent(n, d2)
     lcm12 = d1 // math.gcd(d1, d2) * d2
-    base = 1 - Fraction(1, 2**e1) - Fraction(1, 2**e2)
     nu1 = (d1 & -d1).bit_length() - 1
     nu2 = (d2 & -d2).bit_length() - 1
+    # 1 - 2^-e1 - 2^-e2 (+ 2^-e3), put over 2^E with E the largest exponent
+    # (e3 >= e1, e2 since e12 <= min(e1, e2)), as one Fraction.
     if lcm12 <= 2 * n and nu1 != nu2:
-        return base
-    e12 = _floor_exponent(n, lcm12)
-    return base + Fraction(1, 2 ** (e1 + e2 - e12))
+        top, joint = max(e1, e2), 0
+    else:
+        top, joint = e1 + e2 - _floor_exponent(n, lcm12), 1
+    return Fraction((1 << top) - (1 << top - e1) - (1 << top - e2) + joint, 1 << top)
 
 
 def expected_X(n: int, mode: str = "exact") -> Fraction | float:
@@ -321,21 +327,37 @@ def exhaustive_indicator_tables(
 
     Returns ({d: E[I(n,d)]}, {(d1,d2): E[I(n,d1)*I(n,d2)]}) for all
     d, d1, d2 <= 2n, each an exact count over the 2^n words.
-    """
-    import numpy as np
 
+    A set of words is an int of 2^n bits, bit w standing for word w (bit
+    k-1 of w set means s_k = +1, as in `_all_words`).  plus[k], the words
+    with s_k = +1, is the 2^k-bit block of 2^(k-1) zeros then 2^(k-1)
+    ones, doubled up to 2^n bits; minus[k] is its complement.  member[d],
+    the words whose union holds d, is the literal union over k <= n of
+    minus[k] for d in divisor_set(k, -1) and plus[k] for d in
+    divisor_set(k, +1).  Counts are popcounts of member[d] and of
+    member[d1] & member[d2].
+    """
     if not 1 <= n <= EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive mode requires 1 <= n <= {EXHAUSTIVE_CAP}")
-    member = _union_rows(_all_words(n)).astype(np.float64)
-    denom = len(member)
-    single_counts = member.sum(axis=0).astype(np.int64)
-    # float64 goes through BLAS (numpy has no BLAS path for int64), and it
-    # is exact here: every count is at most 2^EXHAUSTIVE_CAP = 2^20 < 2^53.
-    pair_counts = (member.T @ member).astype(np.int64)
-    singles = {d: Fraction(int(single_counts[d]), denom) for d in range(1, 2 * n + 1)}
+    size = 1 << n
+    every = (1 << size) - 1
+    member = [0] * (2 * n + 1)
+    for k in range(1, n + 1):
+        h = 1 << (k - 1)
+        plus, width = ((1 << h) - 1) << h, 2 * h
+        while width < size:
+            plus |= plus << width
+            width *= 2
+        minus = every ^ plus
+        for d in divisor_set(k, -1):
+            member[d] |= minus
+        for d in divisor_set(k, 1):
+            member[d] |= plus
+    ds = range(1, 2 * n + 1)
+    singles = {d: Fraction(member[d].bit_count(), size) for d in ds}
     pairs = {
-        (d1, d2): Fraction(int(pair_counts[d1, d2]), denom)
-        for d1 in range(1, 2 * n + 1)
-        for d2 in range(1, 2 * n + 1)
+        (d1, d2): Fraction((member[d1] & member[d2]).bit_count(), size)
+        for d1 in ds
+        for d2 in ds
     }
     return singles, pairs

@@ -35,7 +35,6 @@ from .cover import _cover_entry_times, _entry_times, pattern_cover
 from .cyclotomic import cyclotomic_value, divisor_set
 from .constants import growth_constant
 from .patterns import SignPattern, parse_pattern
-from .stochastic import exhaustive_indicator_tables, indicator_expectation, pair_expectation
 
 __all__ = [
     "CheckResult",
@@ -217,6 +216,12 @@ def suite_cyclotomic(
 
 def suite_stochastic_oracle(n_max: int = 12) -> list[CheckResult]:
     """Expectation formulas vs exhaustive enumeration, exact rationals."""
+    from .stochastic import (
+        exhaustive_indicator_tables,
+        indicator_expectation,
+        pair_expectation,
+    )
+
     results = []
     for n in range(1, n_max + 1):
         singles, pairs = exhaustive_indicator_tables(n)

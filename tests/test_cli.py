@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from cyclolcm import cli as cli_module
+from cyclolcm import verify as verify_module
 from cyclolcm.cli import TRIALS_CSV_HEADER, main
 from cyclolcm.growth import GROWTH_CSV_HEADER
 from cyclolcm.verify import CheckResult
@@ -32,16 +33,26 @@ def run_cli(*args):
     return run_python("-m", "cyclolcm", *args)
 
 
-# Runs `cli.main` on argv[1:] (nothing when empty), then reports whether
-# numpy got loaded.
-NUMPY_PROBE = """
+# Runs `cli.main` on argv[1:] (only `import cyclolcm` when empty), then
+# prints whether numpy got loaded and, on a second line, the sorted
+# cyclolcm submodules that did.
+LOAD_PROBE = """
 import contextlib, io, sys
-from cyclolcm import cli
+import cyclolcm
 if sys.argv[1:]:
+    from cyclolcm import cli
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(sys.argv[1:]) == 0
 print("numpy" in sys.modules)
+print(" ".join(sorted(m for m in sys.modules if m.startswith("cyclolcm."))))
 """
+
+
+def probe_loads(args):
+    out = run_python("-c", LOAD_PROBE, *args)
+    assert out.returncode == 0, out.stderr
+    numpy_line, modules_line = out.stdout.split("\n")[:2]
+    return numpy_line, set(modules_line.split())
 
 
 @pytest.mark.parametrize(
@@ -53,6 +64,7 @@ print("numpy" in sys.modules)
         (["verify", "--suite", "table1"], False),
         (["verify", "--suite", "cover-oracle"], False),
         (["verify", "--suite", "cyclotomic"], False),
+        (["verify", "--suite", "stochastic-oracle"], False),
         (["growth", "--exact", "--base", "3", "--pattern", "-+-", "--n-max", "60",
           "--step", "20"], False),
         (["growth", "--exact", "--base", "2", "--random", "--seed", "7", "--n-max", "60",
@@ -62,13 +74,40 @@ print("numpy" in sys.modules)
         (["expect", "--n", "50"], True),
     ],
     ids=["import", "constant", "table", "verify-table1", "verify-cover-oracle",
-         "verify-cyclotomic", "growth-exact", "growth-exact-random", "random",
-         "expect-exact", "expect-float"],
+         "verify-cyclotomic", "verify-stochastic-oracle", "growth-exact",
+         "growth-exact-random", "random", "expect-exact", "expect-float"],
 )
 def test_numpy_loads_only_where_arrays_are_built(args, loads_numpy):
-    out = run_python("-c", NUMPY_PROBE, *args)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == str(loads_numpy)
+    assert probe_loads(args)[0] == str(loads_numpy)
+
+
+@pytest.mark.parametrize(
+    "args, unloaded",
+    [
+        (["constant", "--pattern", "--+"], "growth stochastic verify"),
+        (["table", "--max-period", "3"], "growth stochastic"),
+        (["verify", "--suite", "table1"], "growth stochastic"),
+        (["verify", "--suite", "cover-oracle"], "growth stochastic"),
+        (["verify", "--suite", "cyclotomic"], "growth stochastic"),
+        (["growth", "--exact", "--base", "3", "--pattern", "-+-", "--n-max", "60",
+          "--step", "20"], "stochastic verify"),
+        (["growth", "--base", "2", "--pattern", "-+", "--n-max", "200", "--step", "50"],
+         "stochastic verify"),
+        (["random", "--n", "50", "--trials", "2"], "growth verify"),
+        (["expect", "--n", "50", "--exact"], "growth verify"),
+        (["expect", "--n", "50"], "growth verify"),
+    ],
+    ids=["constant", "table", "verify-table1", "verify-cover-oracle", "verify-cyclotomic",
+         "growth-exact", "growth-surrogate", "random", "expect-exact", "expect-float"],
+)
+def test_commands_load_only_their_modules(args, unloaded):
+    loaded = probe_loads(args)[1]
+    assert "cyclolcm.cli" in loaded
+    assert loaded.isdisjoint(f"cyclolcm.{m}" for m in unloaded.split()), sorted(loaded)
+
+
+def test_import_loads_no_submodule():
+    assert probe_loads([])[1] == set()
 
 
 def test_constant_known_values():
@@ -225,8 +264,9 @@ def test_verify_other_suites_pass(suite):
 
 def test_verify_failure_exits_two(monkeypatch, capsys):
     # exercise the exit-code contract without breaking real suites
+    # `cli` reads the suite table from `verify` when the command runs
     monkeypatch.setitem(
-        cli_module.SUITES, "stub", lambda: [CheckResult("always-fails", False, "x")]
+        verify_module.SUITES, "stub", lambda: [CheckResult("always-fails", False, "x")]
     )
     assert main(["verify", "--suite", "stub"]) == 2
     captured = capsys.readouterr()

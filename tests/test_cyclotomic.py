@@ -84,11 +84,15 @@ def test_divisor_set_examples():
 
 def test_divisors_hand_out_fresh_lists():
     # divisors are memoised; a caller changing its list must not change the cache
-    for get in (lambda: divisors(12), lambda: divisor_set(12, -1)):
+    for get, expected in (
+        (lambda: divisors(12), [1, 2, 3, 4, 6, 12]),
+        (lambda: divisor_set(12, -1), [1, 2, 3, 4, 6, 12]),
+        (lambda: divisor_set(12, 1), [8, 24]),
+    ):
         first = get()
         first.append(99)
         first[0] = 0
-        assert get() == [1, 2, 3, 4, 6, 12]
+        assert get() == expected
 
 
 @pytest.mark.parametrize("shift", [0, 2, -2])

@@ -86,6 +86,21 @@ def test_pair_matches_enumeration_exhaustively():
             assert enum == pair_expectation(n, d1, d2), (n, d1, d2)
 
 
+def test_bitset_tables_match_union_kernel():
+    # the tables count words with int bitsets; the Monte Carlo kernel's
+    # rows over all 2^n words must give the same single and pair counts
+    for n in range(1, 11):
+        singles, pairs = exhaustive_indicator_tables(n)
+        member = _union_rows(stochastic._all_words(n)).astype(np.int64)
+        ds = range(1, 2 * n + 1)
+        column_sums = member.sum(axis=0)
+        assert [singles[d] * 2**n for d in ds] == [column_sums[d] for d in ds], n
+        if n <= 8:
+            products = member.T @ member
+            for d1 in ds:
+                assert [pairs[d1, d2] * 2**n for d2 in ds] == [products[d1, d2] for d2 in ds]
+
+
 def test_disjoint_index_sets_factorize():
     # whenever lcm(d1, d2) > 2n the two membership events touch disjoint
     # index sets, so the pair expectation is the product of the marginals
