@@ -20,11 +20,10 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-# Each command imports the engine it runs inside its own body, so a
-# process loads only the modules of the command it was started for.
+# Each command imports the engine it runs (and json, where it prints JSON)
+# inside its own body, so a process loads only what its command uses.
 
 __all__ = ["main"]
 
@@ -75,6 +74,7 @@ def cmd_constant(args) -> int:
 
     gc = growth_constant(_pattern_or_die(args.pattern))
     if args.format == "json" or args.explain:
+        import json
         obj = {"schema": SCHEMA_VERSION, **gc.to_json_obj()}
         if not args.explain:
             del obj["cover"]
@@ -95,6 +95,7 @@ def cmd_table(args) -> int:
         for word in all_sign_words(args.max_period)
     ]
     if args.format == "json":
+        import json
         obj = {
             "schema": SCHEMA_VERSION,
             "rows": [
@@ -123,8 +124,7 @@ def cmd_growth(args) -> int:
     if args.n_max > EXACT_ENGINE_CAP and args.exact and not args.force_exact:
         raise UsageError(
             f"exact engine capped at n <= {EXACT_ENGINE_CAP}; pass "
-            "--force-exact to override (runtime grows between n^3 and n^4) "
-            "or drop --exact"
+            "--force-exact to override or drop --exact"
         )
     if args.random:
         if not args.exact:
@@ -156,6 +156,8 @@ def cmd_growth(args) -> int:
 
 
 def cmd_random(args) -> int:
+    import json
+
     from .stochastic import monte_carlo
 
     if args.base < 2:

@@ -34,8 +34,8 @@ def run_cli(*args):
 
 
 # Runs `cli.main` on argv[1:] (only `import cyclolcm` when empty), then
-# prints whether numpy got loaded and, on a second line, the sorted
-# cyclolcm submodules that did.
+# prints which of json and numpy got loaded and, on a second line, the
+# sorted cyclolcm submodules that did.
 LOAD_PROBE = """
 import contextlib, io, sys
 import cyclolcm
@@ -43,7 +43,7 @@ if sys.argv[1:]:
     from cyclolcm import cli
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(sys.argv[1:]) == 0
-print("numpy" in sys.modules)
+print(" ".join(m for m in ("json", "numpy") if m in sys.modules))
 print(" ".join(sorted(m for m in sys.modules if m.startswith("cyclolcm."))))
 """
 
@@ -51,8 +51,8 @@ print(" ".join(sorted(m for m in sys.modules if m.startswith("cyclolcm."))))
 def probe_loads(args):
     out = run_python("-c", LOAD_PROBE, *args)
     assert out.returncode == 0, out.stderr
-    numpy_line, modules_line = out.stdout.split("\n")[:2]
-    return numpy_line, set(modules_line.split())
+    libraries_line, modules_line = out.stdout.split("\n")[:2]
+    return set(libraries_line.split()), set(modules_line.split())
 
 
 @pytest.mark.parametrize(
@@ -78,7 +78,27 @@ def probe_loads(args):
          "growth-exact-random", "random", "expect-exact", "expect-float"],
 )
 def test_numpy_loads_only_where_arrays_are_built(args, loads_numpy):
-    assert probe_loads(args)[0] == str(loads_numpy)
+    assert ("numpy" in probe_loads(args)[0]) == loads_numpy
+
+
+@pytest.mark.parametrize(
+    "args, loads_json",
+    [
+        (["growth", "--exact", "--base", "2", "--random", "--seed", "7", "--n-max", "60",
+          "--step", "20"], False),
+        (["verify", "--suite", "table1"], False),
+        (["verify", "--suite", "cover-oracle"], False),
+        (["verify", "--suite", "cyclotomic"], False),
+        (["verify", "--suite", "stochastic-oracle"], False),
+        (["expect", "--n", "50", "--exact"], False),
+        (["constant", "--pattern", "--+", "--explain"], True),
+    ],
+    ids=["growth-exact-random", "verify-table1", "verify-cover-oracle",
+         "verify-cyclotomic", "verify-stochastic-oracle", "expect-exact",
+         "constant-explain"],
+)
+def test_json_loads_only_where_json_is_printed(args, loads_json):
+    assert ("json" in probe_loads(args)[0]) == loads_json
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from cyclolcm import (
     valuation,
     write_growth_csv,
 )
+from cyclolcm import growth
 from cyclolcm.growth import (
     ENVELOPE_K,
     EXACT_ENGINE_CAP,
@@ -174,12 +175,14 @@ def test_cyclotomic_product_over_lcm_is_the_2adic_term(a, shifts):
         assert m2 == valuation(2, fold[k]), k
 
 
-@pytest.mark.parametrize("a", [3, 5, 9, 15, 17, 31, 999, 2**70 + 1, 2**70 - 1])
-def test_series_matches_lcm_fold_at_checkpoints(a):
+SERIES_BASES = [3, 5, 9, 15, 17, 31, 999, 2**70 + 1, 2**70 - 1]
+
+
+def _assert_series_matches_fold(a):
+    """Check every sample of 15 series at base a; return how many ran."""
     # step 7 leaves n_max off the grid and step n_max is one checkpoint:
-    # both flush the pending product tree at the last sample.  At
-    # a = 2^70 +- 1, v_2(a -+ 1) = 70; there n = 60 takes 0.4 s and n = 150
-    # would take 8 s per base.
+    # both read the enclosure at the last sample.  At a = 2^70 +- 1,
+    # v_2(a -+ 1) = 70.
     n = 150 if a < 1000 else 60
     cases = [parse_pattern(w).shifts(n) for w in ("-", "+", "--+", "-+-++")]
     cases.append(random_shifts(3, n))
@@ -190,6 +193,53 @@ def test_series_matches_lcm_fold_at_checkpoints(a):
             assert [s.n for s in samples] == sorted({*range(step, n + 1, step), n})
             for s in samples:
                 assert s.log_lcm == log_big(fold[s.n]), (step, s.n)
+    return len(cases) * 3
+
+
+@pytest.mark.parametrize("a", SERIES_BASES)
+def test_series_matches_lcm_fold_at_checkpoints(a):
+    _assert_series_matches_fold(a)
+
+
+@pytest.mark.parametrize("bits", [1, 8])
+def test_series_matches_lcm_fold_after_restarts(bits, monkeypatch):
+    # enclosures this narrow cannot certify the top 64 bits, so each series
+    # restarts at doubled widths and must still give log_big of the fold
+    calls = []
+    enclosures = growth._lcm_enclosures
+
+    def counted(*args):
+        calls.append(args[-1])
+        return enclosures(*args)
+
+    monkeypatch.setattr(growth, "_ENCLOSURE_BITS", bits)
+    monkeypatch.setattr(growth, "_lcm_enclosures", counted)
+    runs = sum(_assert_series_matches_fold(a) for a in SERIES_BASES)
+    assert len(calls) > runs
+    assert calls[0] == bits and 2 * bits in calls
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    a=st.integers(2, 64),
+    shifts=st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=150),
+)
+def test_lcm_enclosure_holds_at_every_k(a, shifts):
+    every = range(1, len(shifts) + 1)
+    fold = _lcm_fold(a, shifts, every)
+    for bits in (1, 8, 128):
+        enclosures = growth._lcm_enclosures(a, shifts, len(shifts), every, bits)
+        for k, _, lo, hi, exp in enclosures:
+            assert lo << exp <= fold[k] <= hi << exp, (bits, k)
+            assert hi.bit_length() <= bits + 1, (bits, k)
+
+
+@pytest.mark.parametrize("a", [2, 3])
+def test_series_matches_stream_at_every_k(a):
+    n = 1000
+    for shifts in (parse_pattern("-"), parse_pattern("+"), random_shifts(5, n)):
+        series = [s.log_lcm for s in exact_log_lcm_series(a, shifts, n, 1)]
+        assert series == [log_big(lcm) for _, lcm in exact_lcm_stream(a, shifts, n)]
 
 
 # At a = 10 one fold to n = 1000 takes about 5 s, so only random shifts run.
