@@ -6,7 +6,7 @@ Subcommands:
     table     --max-period P                    constants for all words
     growth    --base A --pattern P --n-max N    growth series CSV
               [--step S] [--exact] [--force-exact] | --random --seed S
-    random    --base A --n N --trials T --seed S   Monte Carlo trials
+    random    --n N --trials T --seed S         Monte Carlo trials
     expect    --n N [--exact]                   E[X] exact or float
     verify    --suite NAME                      self-verification suites
 
@@ -60,19 +60,11 @@ def _parse_seed(text: str) -> int:
     return value
 
 
-def _pattern_or_die(text: str):
-    from .patterns import PatternError, parse_pattern
-
-    try:
-        return parse_pattern(text)
-    except PatternError as exc:
-        raise UsageError(str(exc))
-
-
 def cmd_constant(args) -> int:
     from .constants import growth_constant
+    from .patterns import parse_pattern
 
-    gc = growth_constant(_pattern_or_die(args.pattern))
+    gc = growth_constant(parse_pattern(args.pattern))
     if args.format == "json" or args.explain:
         import json
         obj = {"schema": SCHEMA_VERSION, **gc.to_json_obj()}
@@ -86,12 +78,13 @@ def cmd_constant(args) -> int:
 
 def cmd_table(args) -> int:
     from .constants import growth_constant
+    from .patterns import parse_pattern
     from .verify import all_sign_words
 
     if not 1 <= args.max_period <= 8:
         raise UsageError(f"--max-period must be in 1..8, got {args.max_period}")
     rows = [
-        (word, growth_constant(_pattern_or_die(word)).C)
+        (word, growth_constant(parse_pattern(word)).C)
         for word in all_sign_words(args.max_period)
     ]
     if args.format == "json":
@@ -113,7 +106,7 @@ def cmd_table(args) -> int:
 def cmd_growth(args) -> int:
     from .constants import growth_constant, random_model_constant
     from .growth import EXACT_ENGINE_CAP, exact_log_lcm_series, surrogate_series, write_growth_csv
-    from .patterns import random_shifts
+    from .patterns import parse_pattern, random_shifts
 
     if args.base < 2:
         raise UsageError(f"--base must be >= 2, got {args.base}")
@@ -135,7 +128,7 @@ def cmd_growth(args) -> int:
         )
         constant = random_model_constant()
     else:
-        pattern = _pattern_or_die(args.pattern)
+        pattern = parse_pattern(args.pattern)
         constant = float(growth_constant(pattern).C)
         if args.exact:
             samples = exact_log_lcm_series(
@@ -160,11 +153,9 @@ def cmd_random(args) -> int:
 
     from .stochastic import monte_carlo
 
-    if args.base < 2:
-        raise UsageError(f"--base must be >= 2, got {args.base}")
     if args.n < 1 or args.trials < 1:
         raise UsageError("--n and --trials must be >= 1")
-    results, summary = monte_carlo(args.base, args.n, args.trials, _parse_seed(args.seed))
+    results, summary = monte_carlo(args.n, args.trials, _parse_seed(args.seed))
     if args.format == "json":
         obj = {
             "schema": SCHEMA_VERSION,
@@ -256,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("random", help="Monte Carlo trials of the random model")
-    p.add_argument("--base", type=int, default=2)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", default=str(DEFAULT_SEED), help="decimal or 0x-hex")

@@ -75,7 +75,8 @@ class SignPattern:
 
     def shifts(self, n: int) -> list[int]:
         """First n shifts s_1..s_n."""
-        return [self.shift_at(k) for k in range(1, n + 1)]
+        word, m = self.word, len(self.word)
+        return [word[k % m] for k in range(n)]
 
     def __str__(self) -> str:
         return "".join("+" if s == 1 else "-" for s in self.word)

@@ -25,13 +25,13 @@ with no array library involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .constants import random_model_constant
 from .cyclotomic import divisor_set, totient, totient_sieve
-from .patterns import _plus_rows, subseed
+from .patterns import _MASK64, _plus_rows, subseed
 
 if TYPE_CHECKING:  # at run time numpy loads only in the functions that build arrays
     import numpy as np
@@ -47,7 +47,6 @@ __all__ = [
     "variance_bound",
     "gcd_pair_sum",
     "monte_carlo",
-    "exhaustive_trials",
     "exhaustive_indicator_tables",
 ]
 
@@ -79,15 +78,7 @@ class MonteCarloSummary:
     abs_gap: float
 
     def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "mean_X": self.mean_X,
-            "var_X": self.var_X,
-            "mean_ratio": self.mean_ratio,
-            "theory_ratio": self.theory_ratio,
-            "abs_gap": self.abs_gap,
-        }
+        return asdict(self)
 
 
 def _floor_exponent(n: int, d: int) -> int:
@@ -268,24 +259,20 @@ def _summarize(results: list[TrialResult], n: int) -> MonteCarloSummary:
 
 
 def monte_carlo(
-    a: int,
-    n: int,
-    trials: int,
-    seed: int,
+    n: int, trials: int, seed: int
 ) -> tuple[list[TrialResult], MonteCarloSummary]:
     """Seeded Monte Carlo estimate of X over independent shift words.
 
     Trial t uses the stream seeded with subseed(seed, t), so results are
     reproducible bit-for-bit whatever the batching (see MC_BLOCK_CELLS).
-    The base a only matters for provenance: X and the normalized ratio
-    pi^2 * X / n^2 are base-free.
+    X and the normalized ratio pi^2 * X / n^2 do not depend on the base a.
     """
     import numpy as np
 
-    if a < 2:
-        raise ValueError(f"base a must be >= 2, got {a}")
     if n < 1 or trials < 1:
         raise ValueError(f"n and trials must be >= 1, got ({n}, {trials})")
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must fit in 64 bits, got {seed}")
     phi = totient_sieve(2 * n)
     norm = math.pi**2 / (n * n)
     rows = max(1, MC_BLOCK_CELLS // n)
@@ -300,26 +287,6 @@ def monte_carlo(
     return results, _summarize(results, n)
 
 
-def _all_words(n: int) -> np.ndarray:
-    """All 2^n shift words as rows; bit k-1 of the row index set means s_k = +1."""
-    import numpy as np
-
-    return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
-
-
-def exhaustive_trials(n: int) -> tuple[list[int], Fraction]:
-    """X for every one of the 2^n shift words, plus the exact mean.
-
-    The enumeration oracle behind the expectation formulas; limited to
-    n <= EXHAUSTIVE_CAP.
-    """
-    if not 1 <= n <= EXHAUSTIVE_CAP:
-        raise ValueError(f"exhaustive mode requires 1 <= n <= {EXHAUSTIVE_CAP}")
-    phi = totient_sieve(2 * n)
-    xs = [int(phi[row].sum()) for row in _union_rows(_all_words(n))]
-    return xs, Fraction(sum(xs), len(xs))
-
-
 def exhaustive_indicator_tables(
     n: int,
 ) -> tuple[dict[int, Fraction], dict[tuple[int, int], Fraction]]:
@@ -329,13 +296,12 @@ def exhaustive_indicator_tables(
     d, d1, d2 <= 2n, each an exact count over the 2^n words.
 
     A set of words is an int of 2^n bits, bit w standing for word w (bit
-    k-1 of w set means s_k = +1, as in `_all_words`).  plus[k], the words
-    with s_k = +1, is the 2^k-bit block of 2^(k-1) zeros then 2^(k-1)
-    ones, doubled up to 2^n bits; minus[k] is its complement.  member[d],
-    the words whose union holds d, is the literal union over k <= n of
-    minus[k] for d in divisor_set(k, -1) and plus[k] for d in
-    divisor_set(k, +1).  Counts are popcounts of member[d] and of
-    member[d1] & member[d2].
+    k-1 of w set means s_k = +1).  plus[k], the words with s_k = +1, is
+    the 2^k-bit block of 2^(k-1) zeros then 2^(k-1) ones, doubled up to
+    2^n bits; minus[k] is its complement.  member[d], the words whose
+    union holds d, is the literal union over k <= n of minus[k] for d in
+    divisor_set(k, -1) and plus[k] for d in divisor_set(k, +1).  Counts
+    are popcounts of member[d] and of member[d1] & member[d2].
     """
     if not 1 <= n <= EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive mode requires 1 <= n <= {EXHAUSTIVE_CAP}")

@@ -26,6 +26,7 @@ on any failure; tests call the suite functions directly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,66 +56,62 @@ class CheckResult:
     detail: str = ""
 
 
-def _frac(num: int, den: int = 1) -> Fraction:
-    return Fraction(num, den)
-
-
 # Exact growth constants for all 52 primitive sign words of period <= 5
 # (words that are repetitions of a shorter word are omitted; their
 # constants equal the primitive ones).
 REFERENCE_CONSTANTS: dict[str, Fraction] = {
-    "-": _frac(3),
-    "+": _frac(4),
-    "-+": _frac(4),
-    "+-": _frac(3),
-    "--+": _frac(13, 4),
-    "-+-": _frac(105, 32),
-    "-++": _frac(173, 48),
-    "+--": _frac(105, 32),
-    "+-+": _frac(173, 48),
-    "++-": _frac(47, 12),
-    "---+": _frac(7, 2),
-    "--+-": _frac(3),
-    "--++": _frac(7, 2),
-    "-+--": _frac(27, 8),
-    "-++-": _frac(125, 36),
-    "-+++": _frac(38, 9),
-    "+---": _frac(3),
-    "+--+": _frac(7, 2),
-    "+-++": _frac(7, 2),
-    "++--": _frac(125, 36),
-    "++-+": _frac(38, 9),
-    "+++-": _frac(27, 8),
-    "----+": _frac(19, 6),
-    "---+-": _frac(101, 32),
-    "---++": _frac(319, 96),
-    "--+--": _frac(101, 32),
-    "--+-+": _frac(319, 96),
-    "--++-": _frac(487, 144),
-    "--+++": _frac(7687, 2160),
-    "-+---": _frac(101, 32),
-    "-+--+": _frac(319, 96),
-    "-+-+-": _frac(487, 144),
-    "-+-++": _frac(7687, 2160),
-    "-++--": _frac(733, 216),
-    "-++-+": _frac(769, 216),
-    "-+++-": _frac(2123, 576),
-    "-++++": _frac(2219, 576),
-    "+----": _frac(101, 32),
-    "+---+": _frac(319, 96),
-    "+--+-": _frac(733, 216),
-    "+--++": _frac(769, 216),
-    "+-+--": _frac(487, 144),
-    "+-+-+": _frac(7687, 2160),
-    "+-++-": _frac(2123, 576),
-    "+-+++": _frac(2219, 576),
-    "++---": _frac(487, 144),
-    "++--+": _frac(7687, 2160),
-    "++-+-": _frac(2123, 576),
-    "++-++": _frac(2219, 576),
-    "+++--": _frac(2123, 576),
-    "+++-+": _frac(2219, 576),
-    "++++-": _frac(39, 10),
+    "-": Fraction(3),
+    "+": Fraction(4),
+    "-+": Fraction(4),
+    "+-": Fraction(3),
+    "--+": Fraction(13, 4),
+    "-+-": Fraction(105, 32),
+    "-++": Fraction(173, 48),
+    "+--": Fraction(105, 32),
+    "+-+": Fraction(173, 48),
+    "++-": Fraction(47, 12),
+    "---+": Fraction(7, 2),
+    "--+-": Fraction(3),
+    "--++": Fraction(7, 2),
+    "-+--": Fraction(27, 8),
+    "-++-": Fraction(125, 36),
+    "-+++": Fraction(38, 9),
+    "+---": Fraction(3),
+    "+--+": Fraction(7, 2),
+    "+-++": Fraction(7, 2),
+    "++--": Fraction(125, 36),
+    "++-+": Fraction(38, 9),
+    "+++-": Fraction(27, 8),
+    "----+": Fraction(19, 6),
+    "---+-": Fraction(101, 32),
+    "---++": Fraction(319, 96),
+    "--+--": Fraction(101, 32),
+    "--+-+": Fraction(319, 96),
+    "--++-": Fraction(487, 144),
+    "--+++": Fraction(7687, 2160),
+    "-+---": Fraction(101, 32),
+    "-+--+": Fraction(319, 96),
+    "-+-+-": Fraction(487, 144),
+    "-+-++": Fraction(7687, 2160),
+    "-++--": Fraction(733, 216),
+    "-++-+": Fraction(769, 216),
+    "-+++-": Fraction(2123, 576),
+    "-++++": Fraction(2219, 576),
+    "+----": Fraction(101, 32),
+    "+---+": Fraction(319, 96),
+    "+--+-": Fraction(733, 216),
+    "+--++": Fraction(769, 216),
+    "+-+--": Fraction(487, 144),
+    "+-+-+": Fraction(7687, 2160),
+    "+-++-": Fraction(2123, 576),
+    "+-+++": Fraction(2219, 576),
+    "++---": Fraction(487, 144),
+    "++--+": Fraction(7687, 2160),
+    "++-+-": Fraction(2123, 576),
+    "++-++": Fraction(2219, 576),
+    "+++--": Fraction(2123, 576),
+    "+++-+": Fraction(2219, 576),
+    "++++-": Fraction(39, 10),
 }
 
 
@@ -124,13 +121,11 @@ def all_sign_words(max_period: int) -> list[str]:
     Lexicographic with '-' before '+' (the numeric order of the shifts),
     shorter words first.
     """
-    words = []
-    for length in range(1, max_period + 1):
-        for bits in range(1 << length):
-            words.append(
-                "".join("+" if (bits >> i) & 1 else "-" for i in range(length))
-            )
-    return sorted(words, key=lambda w: (len(w), [c == "+" for c in w]))
+    return [
+        "".join(word)
+        for length in range(1, max_period + 1)
+        for word in itertools.product("-+", repeat=length)
+    ]
 
 
 def suite_table1() -> list[CheckResult]:
@@ -168,21 +163,20 @@ def _cover_matches_oracle(pattern: SignPattern, n_max: int) -> tuple[bool, str]:
     return False, f"n={n}: cover-only {extra}, oracle-only {missing}"
 
 
-def suite_cover_oracle(n_max: int = 500, max_period: int = 5) -> list[CheckResult]:
-    """Cover calculus vs brute force for all words of period <= 5."""
+def suite_cover_oracle() -> list[CheckResult]:
+    """Cover calculus vs brute force for all words of period <= 5, n <= 500."""
     results = []
-    for word in all_sign_words(max_period):
-        ok, detail = _cover_matches_oracle(parse_pattern(word), n_max)
-        results.append(CheckResult(f"cover {word} n<={n_max}", ok, detail))
+    for word in all_sign_words(5):
+        ok, detail = _cover_matches_oracle(parse_pattern(word), 500)
+        results.append(CheckResult(f"cover {word} n<=500", ok, detail))
     return results
 
 
-def suite_cyclotomic(
-    n_max: int = 200, bases: tuple[int, ...] = (2, 3, 10), gcd_max: int = 120
-) -> list[CheckResult]:
+def suite_cyclotomic() -> list[CheckResult]:
     """Product identities and pairwise gcd divisibility, all exact."""
+    n_max, gcd_max = 200, 120
     results = []
-    for a in bases:
+    for a in (2, 3, 10):
         values = {d: cyclotomic_value(d, a) for d in range(1, 2 * n_max + 1)}
         for sign, label in ((-1, "a^n-1"), (1, "a^n+1")):
             ok = True
@@ -214,8 +208,8 @@ def suite_cyclotomic(
     return results
 
 
-def suite_stochastic_oracle(n_max: int = 12) -> list[CheckResult]:
-    """Expectation formulas vs exhaustive enumeration, exact rationals."""
+def suite_stochastic_oracle() -> list[CheckResult]:
+    """Expectation formulas vs exhaustive enumeration for n <= 12, exact rationals."""
     from .stochastic import (
         exhaustive_indicator_tables,
         indicator_expectation,
@@ -223,7 +217,7 @@ def suite_stochastic_oracle(n_max: int = 12) -> list[CheckResult]:
     )
 
     results = []
-    for n in range(1, n_max + 1):
+    for n in range(1, 13):
         singles, pairs = exhaustive_indicator_tables(n)
         ok = True
         detail = ""

@@ -223,7 +223,7 @@ def test_growth_deterministic():
 
 
 def test_random_csv_header_and_determinism():
-    args = ("random", "--base", "2", "--n", "50", "--trials", "8", "--seed", "0x2A")
+    args = ("random", "--n", "50", "--trials", "8", "--seed", "0x2A")
     a = run_cli(*args)
     assert a.returncode == 0
     lines = a.stdout.strip().split("\n")
@@ -235,8 +235,16 @@ def test_random_csv_header_and_determinism():
     b = run_cli(*args)
     assert a.stdout == b.stdout and a.stderr == b.stderr
     # hex and decimal seeds agree
-    c = run_cli("random", "--base", "2", "--n", "50", "--trials", "8", "--seed", "42")
+    c = run_cli("random", "--n", "50", "--trials", "8", "--seed", "42")
     assert c.stdout == a.stdout
+
+
+def test_random_takes_no_base(capsys):
+    # X, and so every output of `random`, does not depend on the base
+    with pytest.raises(SystemExit) as exc:
+        main(["random", "--base", "2", "--n", "10", "--trials", "2"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --base 2" in capsys.readouterr().err
 
 
 def test_random_json_format():

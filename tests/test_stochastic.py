@@ -28,8 +28,12 @@ from cyclolcm.stochastic import (
     MC_BLOCK_CELLS,
     _union_rows,
     exhaustive_indicator_tables,
-    exhaustive_trials,
 )
+
+
+def _all_words(n):
+    """All 2^n shift words as rows; bit k-1 of the row index set means s_k = +1."""
+    return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
 
 
 def enum_indicator(n, d):
@@ -91,7 +95,7 @@ def test_bitset_tables_match_union_kernel():
     # rows over all 2^n words must give the same single and pair counts
     for n in range(1, 11):
         singles, pairs = exhaustive_indicator_tables(n)
-        member = _union_rows(stochastic._all_words(n)).astype(np.int64)
+        member = _union_rows(_all_words(n)).astype(np.int64)
         ds = range(1, 2 * n + 1)
         column_sums = member.sum(axis=0)
         assert [singles[d] * 2**n for d in ds] == [column_sums[d] for d in ds], n
@@ -160,10 +164,14 @@ def test_oracle_L_rejects_bad_shifts():
 
 
 def test_exhaustive_mean_matches_expectation():
+    # the mean of X over all 2^n words, word by word through the union
+    # kernel and, by linearity, from the literal indicator tables
     for n in (1, 2, 3, 6):
-        xs, mean = exhaustive_trials(n)
-        assert len(xs) == 1 << n
-        assert mean == expected_X(n)
+        phi = totient_sieve(2 * n)
+        total = sum(int(phi[row].sum()) for row in _union_rows(_all_words(n)))
+        assert Fraction(total, 1 << n) == expected_X(n)
+        singles, _ = exhaustive_indicator_tables(n)
+        assert sum(totient(d) * p for d, p in singles.items()) == expected_X(n)
 
 
 def test_variance_bound_matches_bruteforce_pairs():
@@ -218,12 +226,12 @@ def test_gcd_pair_sum_quadratic_witness():
 
 
 def test_monte_carlo_reproducible():
-    r1, s1 = monte_carlo(2, 100, 20, 7)
-    r2, s2 = monte_carlo(2, 100, 20, 7)
+    r1, s1 = monte_carlo(100, 20, 7)
+    r2, s2 = monte_carlo(100, 20, 7)
     assert r1 == r2
     assert s1 == s2
     # a different seed moves the trials
-    r3, _ = monte_carlo(2, 100, 20, 8)
+    r3, _ = monte_carlo(100, 20, 8)
     assert r3 != r1
 
 
@@ -238,7 +246,7 @@ def test_monte_carlo_matches_per_trial_reference():
         (MC_BLOCK_CELLS + 1, 2),
     ):
         phi = totient_sieve(2 * n)
-        results, _ = monte_carlo(2, n, trials, 123)
+        results, _ = monte_carlo(n, trials, 123)
         assert [r.trial_index for r in results] == list(range(trials))
         for t, r in enumerate(results):
             s = subseed(123, t)
@@ -246,7 +254,7 @@ def test_monte_carlo_matches_per_trial_reference():
             x = int(phi[_union_rows(plus[None])[0]].sum())
             assert (r.seed, r.n, r.X, r.ratio) == (s, n, x, x * (math.pi**2 / (n * n)))
     # at a small n the literal union weighted by totient agrees as well
-    results, _ = monte_carlo(2, 60, 5, 123)
+    results, _ = monte_carlo(60, 5, 123)
     for r in results:
         assert r.X == sum(totient(d) for d in oracle_L(random_shifts(r.seed, 60), 60))
 
@@ -277,14 +285,14 @@ def test_union_kernel_matches_bruteforce(n, rows, density, seed):
 
 
 def test_monte_carlo_single_trial_has_no_variance():
-    results, summary = monte_carlo(2, 50, 1, 3)
+    results, summary = monte_carlo(50, 1, 3)
     assert len(results) == 1
     assert summary.var_X is None
     assert summary.mean_X == results[0].X
 
 
 def test_monte_carlo_ratio_definition():
-    results, summary = monte_carlo(3, 80, 5, 11)
+    results, summary = monte_carlo(80, 5, 11)
     for r in results:
         assert abs(r.ratio - math.pi**2 * r.X / 80**2) < 1e-12
     assert summary.theory_ratio == pytest.approx(3.4934431587900745, abs=1e-12)
@@ -292,7 +300,7 @@ def test_monte_carlo_ratio_definition():
 
 def test_concentration_at_scale():
     # with 64 trials at n=2000, at most a quarter may stray 5% from E[X]
-    results, _ = monte_carlo(2, 2000, 64, 0x5EEDC0DE)
+    results, _ = monte_carlo(2000, 64, 0x5EEDC0DE)
     mean = float(expected_X(2000, "exact"))
     stray = sum(1 for r in results if abs(r.X - mean) > 0.05 * mean)
     assert stray / len(results) <= 0.25
@@ -300,8 +308,13 @@ def test_concentration_at_scale():
 
 def test_monte_carlo_validation():
     with pytest.raises(ValueError):
-        monte_carlo(1, 10, 5, 0)
+        monte_carlo(0, 5, 0)
     with pytest.raises(ValueError):
-        monte_carlo(2, 0, 5, 0)
-    with pytest.raises(ValueError):
-        monte_carlo(2, 10, 0, 0)
+        monte_carlo(10, 0, 0)
+
+
+def test_monte_carlo_rejects_seeds_outside_64_bits():
+    # refused as random_shifts refuses them, not reduced mod 2^64
+    for seed in (2**64, -1):
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            monte_carlo(10, 5, seed)
