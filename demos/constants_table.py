@@ -11,7 +11,8 @@ table.
 from fractions import Fraction
 
 from cyclolcm import growth_constant, parse_pattern
-from cyclolcm.verify import REFERENCE_CONSTANTS, all_sign_words
+from cyclolcm.patterns import all_sign_words
+from cyclolcm.verify import REFERENCE_CONSTANTS
 
 
 def main():

@@ -78,8 +78,7 @@ def cmd_constant(args) -> int:
 
 def cmd_table(args) -> int:
     from .constants import growth_constant
-    from .patterns import parse_pattern
-    from .verify import all_sign_words
+    from .patterns import all_sign_words, parse_pattern
 
     if not 1 <= args.max_period <= 8:
         raise UsageError(f"--max-period must be in 1..8, got {args.max_period}")
@@ -119,24 +118,21 @@ def cmd_growth(args) -> int:
             f"exact engine capped at n <= {EXACT_ENGINE_CAP}; pass "
             "--force-exact to override or drop --exact"
         )
+    if args.random and not args.exact:
+        raise UsageError("--random requires --exact (no cover for random shifts)")
+    seed = _parse_seed(args.seed)
     if args.random:
-        if not args.exact:
-            raise UsageError("--random requires --exact (no cover for random shifts)")
-        shifts = random_shifts(_parse_seed(args.seed), args.n_max)
+        shifts = random_shifts(seed, args.n_max)
+        constant = random_model_constant()
+    else:
+        shifts = parse_pattern(args.pattern)
+        constant = float(growth_constant(shifts).C)
+    if args.exact:
         samples = exact_log_lcm_series(
             args.base, shifts, args.n_max, args.step, override_cap=args.force_exact
         )
-        constant = random_model_constant()
     else:
-        pattern = parse_pattern(args.pattern)
-        constant = float(growth_constant(pattern).C)
-        if args.exact:
-            samples = exact_log_lcm_series(
-                args.base, pattern, args.n_max, args.step,
-                override_cap=args.force_exact,
-            )
-        else:
-            samples = surrogate_series(args.base, pattern, args.n_max, args.step)
+        samples = surrogate_series(args.base, shifts, args.n_max, args.step)
     write_growth_csv(samples, sys.stdout)
     final = samples[-1]
     ratio = final.ratio_exact if final.ratio_exact is not None else final.ratio_surrogate

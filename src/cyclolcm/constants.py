@@ -28,7 +28,6 @@ from .patterns import SignPattern
 
 __all__ = [
     "GrowthConstant",
-    "density_c",
     "growth_constant",
     "dilog",
     "random_model_constant",
@@ -52,19 +51,6 @@ class GrowthConstant:
         }
 
 
-def density_c(r: int, m: int) -> Fraction:
-    """Exact density constant c(r, m) as a reduced rational in (0, 1]."""
-    if r < 1 or m < 1:
-        raise ValueError(f"density_c requires r, m >= 1, got ({r}, {m})")
-    value = Fraction(1, m)
-    for p in _factorize(m):
-        if r % p == 0:
-            value *= Fraction(p, p + 1)
-        else:
-            value *= Fraction(p * p, p * p - 1)
-    return value
-
-
 def growth_constant(pattern: SignPattern) -> GrowthConstant:
     """Exact rational growth constant for a periodic pattern.
 
@@ -75,7 +61,7 @@ def growth_constant(pattern: SignPattern) -> GrowthConstant:
     cover = pattern_cover(pattern)
     modulus = cover.modulus
     primes = list(_factorize(modulus))
-    # density_c(t, M) = w_t / (M * prod_{p | M} (p^2 - 1)) with the integer
+    # c(t, M) = w_t / (M * prod_{p | M} (p^2 - 1)) with the integer
     # w_t = prod_{p | M} (p(p - 1) if p | t else p^2); sum w_t * num(theta)^2
     # per den(theta)^2, then over their common multiple.
     by_den: dict[int, int] = {}

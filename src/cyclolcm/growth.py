@@ -36,9 +36,8 @@ division at the lcm's size is needed.  One loop, _lcm_enclosures, brackets
 lcm_n between two products of its odd parts cut to a fixed width; the
 stream cuts nothing, and the series reads log lcm_n from 128-bit ends (see
 exact_log_lcm_series), so it multiplies no big accumulator and most of its
-time is the divisor sets and Phi_d(a) (a=2, "-", one sample per n: 0.024 s at
-n=1000, 0.059 s at n=2000, 0.17 s at n=4000 on one CPU of a 2-core Xeon
-VM).  The engine refuses n beyond a default cap of 2000 unless overridden.
+time is the divisor sets and Phi_d(a) (timings in the README).  The engine
+refuses n beyond a default cap of 2000 unless overridden.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ they are batched.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -30,6 +31,7 @@ __all__ = [
     "MAX_PERIOD",
     "SignPattern",
     "parse_pattern",
+    "all_sign_words",
     "PatternError",
     "random_shifts",
     "subseed",
@@ -60,18 +62,12 @@ class SignPattern:
             raise PatternError(
                 f"pattern length {len(self.word)} exceeds limit {MAX_PERIOD}"
             )
-        if any(s not in (-1, 1) for s in self.word):
+        if any(type(s) is not int or s not in (-1, 1) for s in self.word):
             raise PatternError(f"pattern entries must be -1 or +1, got {self.word}")
 
     @property
     def period(self) -> int:
         return len(self.word)
-
-    def shift_at(self, n: int) -> int:
-        """Shift s_n of the periodic extension, for n >= 1."""
-        if n < 1:
-            raise ValueError(f"shift index must be >= 1, got {n}")
-        return self.word[(n - 1) % len(self.word)]
 
     def shifts(self, n: int) -> list[int]:
         """First n shifts s_1..s_n."""
@@ -102,13 +98,31 @@ def parse_pattern(text: str) -> SignPattern:
     return SignPattern(tuple(word))
 
 
+def all_sign_words(max_period: int) -> list[str]:
+    """Every nonempty '-'/'+' word of length <= max_period, sorted.
+
+    Lexicographic with '-' before '+' (the numeric order of the shifts),
+    shorter words first.
+    """
+    return [
+        "".join(word)
+        for length in range(1, max_period + 1)
+        for word in itertools.product("-+", repeat=length)
+    ]
+
+
 def _shift_list(shifts: SignPattern | Sequence[int], n: int) -> list[int]:
-    """s_1..s_n from a pattern, or the first n entries of an explicit list."""
+    """s_1..s_n from a pattern, or the first n entries of an explicit list,
+    which must be Python ints; each value is checked where it is used."""
     if isinstance(shifts, SignPattern):
         return shifts.shifts(n)
     if len(shifts) < n:
         raise ValueError(f"need at least {n} shifts, got {len(shifts)}")
-    return list(shifts[:n])
+    seq = list(shifts[:n])
+    for s in seq:
+        if type(s) is not int:
+            raise ValueError(f"shift must be -1 or +1, got {s!r}")
+    return seq
 
 
 def _mix64(x: int | np.ndarray) -> int | np.ndarray:

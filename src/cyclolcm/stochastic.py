@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING
 
 from .constants import random_model_constant
 from .cyclotomic import divisor_set, totient, totient_sieve
+from .exact_arith import valuation
 from .patterns import _MASK64, _plus_rows, subseed
 
 if TYPE_CHECKING:  # at run time numpy loads only in the functions that build arrays
@@ -109,11 +110,9 @@ def pair_expectation(n: int, d1: int, d2: int) -> Fraction:
     e1 = _floor_exponent(n, d1)
     e2 = _floor_exponent(n, d2)
     lcm12 = d1 // math.gcd(d1, d2) * d2
-    nu1 = (d1 & -d1).bit_length() - 1
-    nu2 = (d2 & -d2).bit_length() - 1
     # 1 - 2^-e1 - 2^-e2 (+ 2^-e3), put over 2^E with E the largest exponent
     # (e3 >= e1, e2 since e12 <= min(e1, e2)), as one Fraction.
-    if lcm12 <= 2 * n and nu1 != nu2:
+    if lcm12 <= 2 * n and valuation(2, d1) != valuation(2, d2):
         top, joint = max(e1, e2), 0
     else:
         top, joint = e1 + e2 - _floor_exponent(n, lcm12), 1

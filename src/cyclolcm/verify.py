@@ -26,7 +26,6 @@ on any failure; tests call the suite functions directly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,12 +34,11 @@ from typing import Callable
 from .cover import _cover_entry_times, _entry_times, pattern_cover
 from .cyclotomic import cyclotomic_value, divisor_set
 from .constants import growth_constant
-from .patterns import SignPattern, parse_pattern
+from .patterns import SignPattern, all_sign_words, parse_pattern
 
 __all__ = [
     "CheckResult",
     "REFERENCE_CONSTANTS",
-    "all_sign_words",
     "suite_table1",
     "suite_cover_oracle",
     "suite_cyclotomic",
@@ -115,19 +113,6 @@ REFERENCE_CONSTANTS: dict[str, Fraction] = {
 }
 
 
-def all_sign_words(max_period: int) -> list[str]:
-    """Every nonempty '-'/'+' word of length <= max_period, sorted.
-
-    Lexicographic with '-' before '+' (the numeric order of the shifts),
-    shorter words first.
-    """
-    return [
-        "".join(word)
-        for length in range(1, max_period + 1)
-        for word in itertools.product("-+", repeat=length)
-    ]
-
-
 def suite_table1() -> list[CheckResult]:
     """Exact equality against the period <= 5 reference constants."""
     results = []
@@ -175,14 +160,17 @@ def suite_cover_oracle() -> list[CheckResult]:
 def suite_cyclotomic() -> list[CheckResult]:
     """Product identities and pairwise gcd divisibility, all exact."""
     n_max, gcd_max = 200, 120
+    values = {
+        a: {d: cyclotomic_value(d, a) for d in range(1, 2 * n_max + 1)}
+        for a in (2, 3, 10)
+    }
     results = []
     for a in (2, 3, 10):
-        values = {d: cyclotomic_value(d, a) for d in range(1, 2 * n_max + 1)}
         for sign, label in ((-1, "a^n-1"), (1, "a^n+1")):
             ok = True
             detail = ""
             for n in range(1, n_max + 1):
-                prod = math.prod(values[d] for d in divisor_set(n, sign))
+                prod = math.prod(values[a][d] for d in divisor_set(n, sign))
                 if prod != a**n + sign:
                     ok = False
                     detail = f"first failure n={n}"
@@ -193,10 +181,9 @@ def suite_cyclotomic() -> list[CheckResult]:
     for a in (2, 3):
         ok = True
         detail = ""
-        values = {d: cyclotomic_value(d, a) for d in range(1, gcd_max + 1)}
         for m in range(2, gcd_max + 1):
             for n in range(1, m):
-                if m % math.gcd(values[m], values[n]):
+                if m % math.gcd(values[a][m], values[a][n]):
                     ok = False
                     detail = f"first failure (m, n)=({m}, {n})"
                     break

@@ -105,7 +105,7 @@ def test_json_loads_only_where_json_is_printed(args, loads_json):
     "args, unloaded",
     [
         (["constant", "--pattern", "--+"], "growth stochastic verify"),
-        (["table", "--max-period", "3"], "growth stochastic"),
+        (["table", "--max-period", "3"], "growth stochastic verify"),
         (["verify", "--suite", "table1"], "growth stochastic"),
         (["verify", "--suite", "cover-oracle"], "growth stochastic"),
         (["verify", "--suite", "cyclotomic"], "growth stochastic"),
@@ -306,3 +306,9 @@ def test_invalid_seed_rejected():
     assert run_cli(
         "random", "--n", "10", "--trials", "2", "--seed", str(2**64)
     ).returncode == 1
+
+
+def test_growth_rejects_malformed_seed_without_random():
+    out = run_cli("growth", "--base", "2", "--pattern", "-", "--n-max", "5", "--seed", "zz")
+    assert out.returncode == 1
+    assert "seed must be decimal or 0x-hex" in out.stderr

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclolcm import (
-    density_c,
     dilog,
     growth_constant,
     parse_pattern,
@@ -16,6 +15,16 @@ from cyclolcm import (
     totient_sieve,
 )
 from cyclolcm.patterns import MAX_PERIOD
+
+
+def density_c(r, m):
+    """c(r, m) = (1/m) prod_{p | m, p | r} (1 + 1/p)^-1 prod_{p | m, p not | r}
+    (1 - 1/p^2)^-1, the oracle of growth_constant's integer class weights."""
+    value = Fraction(1, m)
+    for p in range(2, m + 1):
+        if m % p == 0 and all(p % q for q in range(2, p)):
+            value *= Fraction(p, p + 1) if r % p == 0 else Fraction(p * p, p * p - 1)
+    return value
 
 
 def test_density_examples():

@@ -6,8 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from cyclolcm import parse_pattern, random_shifts, subseed
-from cyclolcm.patterns import MAX_PERIOD, PatternError, _mix64, _plus_rows
+from cyclolcm import exact_log_lcm_series, oracle_L, parse_pattern, random_shifts, subseed
+from cyclolcm.patterns import (
+    MAX_PERIOD,
+    PatternError,
+    SignPattern,
+    _mix64,
+    _plus_rows,
+    all_sign_words,
+)
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -48,18 +55,32 @@ def test_parse_errors_name_position():
         parse_pattern("+-0-")
 
 
-def test_shift_at_wraps_periodically():
+def test_shifts_wrap_periodically():
     p = parse_pattern("-++")
-    assert p.shift_at(1) == -1
-    assert p.shift_at(4) == -1
-    assert p.shift_at(6) == 1
-    for n in range(1, 200):
-        assert p.shift_at(n + p.period) == p.shift_at(n)
+    assert p.shifts(6) == [-1, 1, 1, -1, 1, 1]
+    assert p.shifts(p.period + 200)[p.period :] == p.shifts(200)
 
 
 def test_shifts_prefix():
     p = parse_pattern("+-")
     assert p.shifts(5) == [1, -1, 1, -1, 1]
+
+
+def test_all_sign_words():
+    assert all_sign_words(2) == ["-", "+", "--", "-+", "+-", "++"]
+    assert len(all_sign_words(8)) == 510
+
+
+def test_shifts_must_be_python_ints():
+    for word in ((1.0, -1), (True, -1), (np.int64(1), -1)):
+        with pytest.raises(PatternError, match="must be -1 or \\+1"):
+            SignPattern(word)
+    bad_lists = ([1.0] * 5, [1, True, -1, 1, 1], np.array([1, -1] * 50))
+    for shifts in bad_lists:
+        with pytest.raises(ValueError, match="shift must be -1 or \\+1"):
+            exact_log_lcm_series(2, shifts, 5)
+    with pytest.raises(ValueError, match="shift must be -1 or \\+1"):
+        oracle_L([1, True], 2)
 
 
 def test_random_shifts_deterministic():
@@ -124,8 +145,6 @@ def test_subseed_spreads_trials():
 def test_pattern_word_validation():
     with pytest.raises(PatternError):
         parse_pattern("x")
-    with pytest.raises(ValueError):
-        parse_pattern("-").shift_at(0)
     with pytest.raises(ValueError, match="64 bits"):
         random_shifts(2**64, 1)
     with pytest.raises(ValueError, match="64 bits"):
