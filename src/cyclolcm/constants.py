@@ -19,8 +19,8 @@ Li2(1/2) = (pi^2 - 6 log^2 2) / 12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cover import ProgressionCover, pattern_cover
 from .cyclotomic import _factorize
@@ -34,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GrowthConstant:
+class GrowthConstant(NamedTuple):
     """Exact constant C for a pattern, with its cover kept as provenance."""
 
     pattern: SignPattern

@@ -24,9 +24,8 @@ over whichever of the two exist, and t has no class when neither does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cyclotomic import divisor_set
 from .patterns import SignPattern, _shift_list
@@ -39,19 +38,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProgressionCover:
-    """Finite union of progressions mod `modulus`, at most one per residue."""
-
+# A NamedTuple class may not define __new__, so the check is in a subclass,
+# and _make (behind _replace) goes through it.
+class _ProgressionCoverFields(NamedTuple):
     modulus: int
     slopes: dict[int, Fraction]
 
-    def __post_init__(self) -> None:
-        for t, theta in self.slopes.items():
-            if not 1 <= t <= self.modulus:
-                raise ValueError(f"residue {t} outside 1..{self.modulus}")
-            if not 0 < theta <= 2:
+
+class ProgressionCover(_ProgressionCoverFields):
+    """Finite union of progressions mod `modulus`, at most one per residue."""
+
+    __slots__ = ()
+
+    def __new__(cls, modulus: int, slopes: dict[int, Fraction]) -> ProgressionCover:
+        for t, theta in slopes.items():
+            if not 1 <= t <= modulus:
+                raise ValueError(f"residue {t} outside 1..{modulus}")
+            # 0 < theta <= 2 on integers: a Fraction's denominator is positive
+            if not 0 < theta.numerator <= 2 * theta.denominator:
                 raise ValueError(f"slope for residue {t} out of (0, 2]: {theta}")
+        return super().__new__(cls, modulus, slopes)
+
+    @classmethod
+    def _make(cls, iterable) -> ProgressionCover:
+        return cls(*iterable)
 
     def to_json_obj(self) -> dict:
         return {

@@ -36,15 +36,15 @@ division at the lcm's size is needed.  One loop, _lcm_enclosures, brackets
 lcm_n between two products of its odd parts cut to a fixed width; the
 stream cuts nothing, and the series reads log lcm_n from 128-bit ends (see
 exact_log_lcm_series), so it multiplies no big accumulator and most of its
-time is the divisor sets and Phi_d(a) (timings in the README).  The engine
-refuses n beyond a default cap of 2000 unless overridden.
+time is the divisor sets and Phi_d(a) (timings in the README).
+exact_log_lcm_series refuses n_max beyond EXACT_ENGINE_CAP (2000) unless
+override_cap is set; exact_lcm_stream takes any n_max >= 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import IO, Container, Iterator, Sequence
+from typing import IO, Container, Iterator, NamedTuple, Sequence
 
 from .constants import GrowthConstant
 from .cover import pattern_cover
@@ -89,8 +89,7 @@ ENVELOPE_K = math.pi**2
 GROWTH_CSV_HEADER = "n,log_lcm,phi_sum,ratio_exact,ratio_surrogate"
 
 
-@dataclass(frozen=True)
-class GrowthSample:
+class GrowthSample(NamedTuple):
     """One checkpoint of a growth series.
 
     log_lcm / ratio_exact are None when only the surrogate engine ran;
@@ -104,8 +103,7 @@ class GrowthSample:
     ratio_surrogate: float | None
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     constant: float
     n_final: int
     final_ratio_exact: float | None

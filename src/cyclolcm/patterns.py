@@ -21,8 +21,7 @@ they are batched.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # at run time numpy loads only in the functions that build arrays
     import numpy as np
@@ -49,21 +48,29 @@ class PatternError(ValueError):
     """Raised for malformed sign pattern strings."""
 
 
-@dataclass(frozen=True)
-class SignPattern:
-    """Nonempty periodic word over {-1, +1}."""
-
+# A NamedTuple class may not define __new__, so the check is in a subclass,
+# and _make (behind _replace) goes through it.
+class _SignPatternFields(NamedTuple):
     word: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.word:
+
+class SignPattern(_SignPatternFields):
+    """Nonempty periodic word over {-1, +1}."""
+
+    __slots__ = ()
+
+    def __new__(cls, word: tuple[int, ...]) -> SignPattern:
+        if not word:
             raise PatternError("pattern must be nonempty")
-        if len(self.word) > MAX_PERIOD:
-            raise PatternError(
-                f"pattern length {len(self.word)} exceeds limit {MAX_PERIOD}"
-            )
-        if any(type(s) is not int or s not in (-1, 1) for s in self.word):
-            raise PatternError(f"pattern entries must be -1 or +1, got {self.word}")
+        if len(word) > MAX_PERIOD:
+            raise PatternError(f"pattern length {len(word)} exceeds limit {MAX_PERIOD}")
+        if any(type(s) is not int or s not in (-1, 1) for s in word):
+            raise PatternError(f"pattern entries must be -1 or +1, got {word}")
+        return super().__new__(cls, word)
+
+    @classmethod
+    def _make(cls, iterable) -> SignPattern:
+        return cls(*iterable)
 
     @property
     def period(self) -> int:
@@ -113,7 +120,8 @@ def all_sign_words(max_period: int) -> list[str]:
 
 def _shift_list(shifts: SignPattern | Sequence[int], n: int) -> list[int]:
     """s_1..s_n from a pattern, or the first n entries of an explicit list,
-    which must be Python ints; each value is checked where it is used."""
+    which must be Python ints; each value is checked where it is used.
+    A SignPattern is a tuple too, hence a Sequence: it is tested for first."""
     if isinstance(shifts, SignPattern):
         return shifts.shifts(n)
     if len(shifts) < n:

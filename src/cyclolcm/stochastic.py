@@ -25,9 +25,8 @@ with no array library involved.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .constants import random_model_constant
 from .cyclotomic import divisor_set, totient, totient_sieve
@@ -59,8 +58,7 @@ EXHAUSTIVE_CAP = 20
 MC_BLOCK_CELLS = 1 << 18
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     seed: int
     trial_index: int
     n: int
@@ -68,8 +66,7 @@ class TrialResult:
     ratio: float  # pi^2 * X / n^2, the base-independent normalized value
 
 
-@dataclass(frozen=True)
-class MonteCarloSummary:
+class MonteCarloSummary(NamedTuple):
     n: int
     trials: int
     mean_X: float
@@ -79,7 +76,7 @@ class MonteCarloSummary:
     abs_gap: float
 
     def to_json_obj(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _floor_exponent(n: int, d: int) -> int:

@@ -27,9 +27,8 @@ on any failure; tests call the suite functions directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cover import _cover_entry_times, _entry_times, pattern_cover
 from .cyclotomic import cyclotomic_value, divisor_set
@@ -47,8 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

@@ -34,8 +34,8 @@ def run_cli(*args):
 
 
 # Runs `cli.main` on argv[1:] (only `import cyclolcm` when empty), then
-# prints which of json and numpy got loaded and, on a second line, the
-# sorted cyclolcm submodules that did.
+# prints which of dataclasses, inspect, json and numpy got loaded and, on a
+# second line, the sorted cyclolcm submodules that did.
 LOAD_PROBE = """
 import contextlib, io, sys
 import cyclolcm
@@ -43,7 +43,7 @@ if sys.argv[1:]:
     from cyclolcm import cli
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(sys.argv[1:]) == 0
-print(" ".join(m for m in ("json", "numpy") if m in sys.modules))
+print(" ".join(m for m in ("dataclasses", "inspect", "json", "numpy") if m in sys.modules))
 print(" ".join(sorted(m for m in sys.modules if m.startswith("cyclolcm."))))
 """
 
@@ -55,7 +55,8 @@ def probe_loads(args):
     return set(libraries_line.split()), set(modules_line.split())
 
 
-@pytest.mark.parametrize(
+# `import cyclolcm` and the CLI commands, each with whether it builds numpy arrays.
+LOAD_CASES = pytest.mark.parametrize(
     "args, loads_numpy",
     [
         ([], False),
@@ -77,8 +78,19 @@ def probe_loads(args):
          "verify-cyclotomic", "verify-stochastic-oracle", "growth-exact",
          "growth-exact-random", "random", "expect-exact", "expect-float"],
 )
+
+
+@LOAD_CASES
 def test_numpy_loads_only_where_arrays_are_built(args, loads_numpy):
     assert ("numpy" in probe_loads(args)[0]) == loads_numpy
+
+
+@LOAD_CASES
+def test_no_command_loads_dataclasses_or_inspect(args, loads_numpy):
+    # numpy imports inspect itself; nothing in cyclolcm does.
+    libraries = probe_loads(args)[0]
+    assert "dataclasses" not in libraries
+    assert loads_numpy or "inspect" not in libraries
 
 
 @pytest.mark.parametrize(

@@ -150,9 +150,13 @@ def test_cover_json_schema():
 
 
 def test_cover_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="residue 5 outside 1..4"):
         ProgressionCover(4, {5: F(1)})
-    with pytest.raises(ValueError):
-        ProgressionCover(4, {1: F(3)})
+    for theta in (F(0), F(-1, 2), F(5, 2), F(3)):
+        with pytest.raises(ValueError, match=r"slope for residue 1 out of \(0, 2\]"):
+            ProgressionCover(4, {1: theta})
+    assert ProgressionCover(4, {1: F(2), 2: F(1, 7)}).slopes == {1: F(2), 2: F(1, 7)}
+    with pytest.raises(ValueError, match="residue 1 outside 1..0"):
+        pattern_cover(parse_pattern("+-"))._replace(modulus=0)
     with pytest.raises(ValueError):
         cover_members(ProgressionCover(2, {1: F(1)}), 0)

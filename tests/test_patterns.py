@@ -13,6 +13,7 @@ from cyclolcm.patterns import (
     SignPattern,
     _mix64,
     _plus_rows,
+    _shift_list,
     all_sign_words,
 )
 
@@ -64,6 +65,9 @@ def test_shifts_wrap_periodically():
 def test_shifts_prefix():
     p = parse_pattern("+-")
     assert p.shifts(5) == [1, -1, 1, -1, 1]
+    # A SignPattern is a one-field tuple; read as a shift list it would be
+    # too short for n = 5.
+    assert _shift_list(p, 5) == [1, -1, 1, -1, 1]
 
 
 def test_all_sign_words():
@@ -145,6 +149,15 @@ def test_subseed_spreads_trials():
 def test_pattern_word_validation():
     with pytest.raises(PatternError):
         parse_pattern("x")
+    # direct construction checks the word too
+    with pytest.raises(PatternError, match="nonempty"):
+        SignPattern(())
+    with pytest.raises(PatternError, match=f"exceeds limit {MAX_PERIOD}"):
+        SignPattern((1,) * (MAX_PERIOD + 1))
+    with pytest.raises(PatternError, match="must be -1 or \\+1"):
+        SignPattern((1, 0))
+    with pytest.raises(PatternError, match="must be -1 or \\+1"):
+        parse_pattern("+-")._replace(word=(0, 5))
     with pytest.raises(ValueError, match="64 bits"):
         random_shifts(2**64, 1)
     with pytest.raises(ValueError, match="64 bits"):
