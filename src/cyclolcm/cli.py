@@ -45,6 +45,12 @@ class _Parser(argparse.ArgumentParser):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
+    def _get_values(self, action, arg_strings):
+        # keep the sign word "--", which argparse drops as the options marker
+        if action.dest == "pattern":
+            return arg_strings[0]
+        return super()._get_values(action, arg_strings)
+
 
 class UsageError(ValueError):
     pass
@@ -120,6 +126,8 @@ def cmd_growth(args) -> int:
         )
     if args.random and not args.exact:
         raise UsageError("--random requires --exact (no cover for random shifts)")
+    if args.force_exact and not args.exact:
+        raise UsageError("--force-exact requires --exact")
     seed = _parse_seed(args.seed)
     if args.random:
         shifts = random_shifts(seed, args.n_max)
@@ -265,7 +273,7 @@ def _merge_pattern_values(argv: list[str]) -> list[str]:
     """Fold `--pattern VALUE` into `--pattern=VALUE`.
 
     Pattern strings start with '-' or '+', which argparse would otherwise
-    read as option flags.
+    read as option flags (_Parser keeps a value of "--").
     """
     merged = []
     i = 0

@@ -11,15 +11,17 @@ class ≡ 0).  A ProgressionCover is that family, held as its modulus 2m and
 the dict {t: theta_t}; the slopes are exact rationals and the set equality
 holds for every x >= 1, which oracle_L lets tests enforce literally.
 
-Why the slopes exist: take d ≡ t (mod 2m).  On the minus side d lies in
-D_k with s_k = -1 iff k = d*j with s_{d*j} = -1, and since d*j ≡ t*j
-(mod m) the first such k is d*j_minus, where j_minus is the least j in
-1..m with s_{t*j} = -1; so d is in the union iff d <= x/j_minus.  On the
-plus side d lies in D_k with s_k = +1 iff 2k is an odd multiple of d,
-which needs d even and k = (d/2)*j with j odd; by the same argument the
-first such k is (d/2)*j_plus, where j_plus is the least odd j in
-1..2m-1 with s_{(t/2)*j} = +1.  Hence theta_t = max(1/j_minus, 2/j_plus)
-over whichever of the two exist, and t has no class when neither does.
+Why the slopes exist: the first-entry rule.  d lies in D_k iff q = 2k/d
+is an integer with s_k = -1 for even q (d divides k) or s_k = +1 for odd q
+(2k is an odd multiple of d).  So for any word s_1..s_n, d first enters
+the union at T(d) = d*q/2 for the least such q with d*q/2 <= n; that is,
+q = min(2*j_minus, j_plus) with j_minus the least j with s_{d*j} = -1 and
+j_plus the least odd j with s_{(d/2)*j} = +1.  The exact growth engine
+applies the rule to the finite word s_1..s_n.  For a periodic word of
+period m, d ≡ t (mod 2m) gives d*q/2 ≡ t*q/2 (mod m), so every d of the
+class has the q of t, and q + 2m reads the same shift as q, so q <= 2m.
+Hence d is in the union at x iff d <= (2/q) * x: theta_t = 2/q, and t has
+no class when no q exists.
 """
 
 from __future__ import annotations
@@ -76,30 +78,26 @@ class ProgressionCover(_ProgressionCoverFields):
         }
 
 
-def _least_multiplier(word: tuple[int, ...], e: int, sign: int, js: range) -> int:
-    """Least j in js with s_{e*j} == sign (index taken mod the period), or 0."""
-    m = len(word)
-    return next((j for j in js if word[(e * j - 1) % m] == sign), 0)
+def _entry_multiplier(word: Sequence[int], t: int, n: int) -> int:
+    """Least q >= 1 with k = t*q/2 an index <= n and s_k = +1 for odd q,
+    -1 for even q (k taken mod the period), or 0: t enters at k = t*q/2."""
+    m, step = len(word), 1 + t % 2  # odd t: only even q give an index
+    qs = range(step, 2 * n // t + 1, step)
+    return next((q for q in qs if word[(t * q // 2 - 1) % m] == (1 if q % 2 else -1)), 0)
 
 
 def pattern_cover(pattern: SignPattern) -> ProgressionCover:
     """Cover of the full index-set union for a periodic pattern.
 
-    Each residue t in 1..2m takes the larger of its two entry slopes:
-    1/j_minus from the least j in 1..m with s_{t*j} = -1, and (t even
-    only) 2/j_plus from the least odd j in 1..2m-1 with s_{(t/2)*j} = +1.
-    A residue with neither has no class.
+    Residue t in 1..2m has the slope 2/q of its entry multiplier q, found
+    among q <= 2m (indices k <= t*m); a residue with no q has no class.
     """
     word, m = pattern.word, pattern.period
     slopes: dict[int, Fraction] = {}
     for t in range(1, 2 * m + 1):
-        j_minus = _least_multiplier(word, t, -1, range(1, m + 1))
-        j_plus = _least_multiplier(word, t // 2, 1, range(1, 2 * m, 2)) if t % 2 == 0 else 0
-        # 2/j_plus > 1/j_minus iff j_plus < 2*j_minus (never equal: j_plus is odd)
-        if j_plus and (not j_minus or j_plus < 2 * j_minus):
-            slopes[t] = Fraction(2, j_plus)
-        elif j_minus:
-            slopes[t] = Fraction(1, j_minus)
+        q = _entry_multiplier(word, t, t * m)
+        if q:
+            slopes[t] = Fraction(2, q)
     return ProgressionCover(2 * m, slopes)
 
 

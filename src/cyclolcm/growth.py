@@ -5,10 +5,10 @@ Two engines:
 * the exact engine builds lcm over arbitrary-precision shifted powers
   from their cyclotomic factors, exactly or between two close bounds,
   and also tracking the totient-sum surrogate
-  phi_sum = sum_{d in L(n)} phi(d) * log a over the literal divisor-set
-  union.  Each phi(d) comes from the factorization of d that Phi_d(a)
-  already cached, not from a sieve, so the engine builds no array.  In
-  nats the two are related by
+  phi_sum = sum_{d in L(n)} phi(d) * log a over the divisor-set union
+  L(n), each d taken at its first-entry time.  Each phi(d) comes from
+  the factorization of d that Phi_d(a) already cached, not from a sieve,
+  so the engine builds no array.  In nats the two are related by
 
       log_lcm = phi_sum + sum_{d in L(n)} sum_{e | d} mu(d/e) log(1 - a^-e)
                 - slack,
@@ -31,12 +31,12 @@ Normalized ratios divide by (log a / pi^2) * n^2, so they converge to the
 pattern's growth constant.  lcm_n reaches roughly
 C * (log a / pi^2) * n^2 nats (~5 Mbit at a=2, n=4000).  It is the
 product of the odd parts of Phi_d(a) over L(n) times 2^M_2(n), with
-M_2(n) = max_{j<=n} v_2(a^j + s_j) (see _exact_steps), so no gcd or
+M_2(n) = max_{j<=n} v_2(a^j + s_j) (see _lcm_enclosures), so no gcd or
 division at the lcm's size is needed.  One loop, _lcm_enclosures, brackets
 lcm_n between two products of its odd parts cut to a fixed width; the
 stream cuts nothing, and the series reads log lcm_n from 128-bit ends (see
-exact_log_lcm_series), so it multiplies no big accumulator and most of its
-time is the divisor sets and Phi_d(a) (timings in the README).
+exact_log_lcm_series), so it multiplies no big accumulator and the largest
+share of its time is Phi_d(a) (timings in the README).
 exact_log_lcm_series refuses n_max beyond EXACT_ENGINE_CAP (2000) unless
 override_cap is set; exact_lcm_stream takes any n_max >= 1.
 """
@@ -47,8 +47,8 @@ import math
 from typing import IO, Container, Iterator, NamedTuple, Sequence
 
 from .constants import GrowthConstant
-from .cover import pattern_cover
-from .cyclotomic import cyclotomic_value, divisor_set, totient, totient_sieve
+from .cover import _entry_multiplier, pattern_cover
+from .cyclotomic import cyclotomic_value, totient, totient_sieve
 from .exact_arith import log_big, valuation
 from .patterns import SignPattern, _shift_list
 
@@ -114,30 +114,6 @@ class ConvergenceReport(NamedTuple):
     within_envelope_surrogate: bool | None
 
 
-def _exact_steps(
-    a: int, seq: Sequence[int]
-) -> Iterator[tuple[list[int], list[int], int]]:
-    """For k = 1..len(seq): the d new to L(k), the odd parts of their
-    Phi_d(a), and M_2(k) = max_{j<=k} v_2(a^j + s_j).
-
-    lcm_k = 2^M_2(k) * prod_{d in L(k)} odd(Phi_d(a)).  An odd prime p not
-    dividing a divides Phi_d(a) only on its chain ord_p(a) * p^j (Bang,
-    Zsigmondy), and the chain members in any D_j form a prefix of that
-    chain, so their union already carries the largest power of p.  The
-    power of two is taken straight from its definition.
-    """
-    union: set[int] = set()  # L(k)
-    m2 = 0  # M_2(k)
-    power = 1  # a^k
-    for k, shift in enumerate(seq, 1):
-        fresh = [d for d in divisor_set(k, shift) if d not in union]
-        union.update(fresh)
-        power *= a
-        m2 = max(m2, valuation(2, power + shift))
-        values = [cyclotomic_value(d, a) for d in fresh]
-        yield fresh, [x >> valuation(2, x) for x in values], m2
-
-
 def _check_exact_args(a: int, n_max: int) -> None:
     if a < 2:
         raise ValueError(f"base a must be >= 2, got {a}")
@@ -146,26 +122,43 @@ def _check_exact_args(a: int, n_max: int) -> None:
 
 
 def _lcm_enclosures(
-    a: int,
-    shifts: SignPattern | Sequence[int],
-    n_max: int,
-    want: Container[int],
-    bits: int | None,
+    a: int, seq: list[int], want: Container[int], bits: int | None
 ) -> Iterator[tuple[int, list[int], int, int, int]]:
     """Yield (k, the d new to L since the last checkpoint, lo, hi, exp) for
-    k in want, with lo * 2^exp <= lcm_k <= hi * 2^exp.
+    k in want, with lo * 2^exp <= lcm_k <= hi * 2^exp; seq is s_1..s_n as
+    _shift_list returns it.
 
-    lo and hi are products of the odd parts of the Phi_d(a) over L(k),
-    floored and ceiled to at most bits bits (exp counts the bits dropped)
-    after every odd part and every step; exp also carries M_2(k).  With
-    bits None nothing is dropped: lo is hi is the exact odd part of lcm_k.
+    lcm_k = 2^M_2(k) * prod_{d in L(k)} odd(Phi_d(a)), with
+    M_2(k) = max_{j<=k} v_2(a^j + s_j).  An odd prime p not dividing a
+    divides Phi_d(a) only on its chain ord_p(a) * p^j (Bang, Zsigmondy),
+    and the chain members in any D_j form a prefix of that chain, so their
+    union already carries the largest power of p.  The power of two is
+    taken straight from its definition.  Each d <= 2n joins L at its
+    first-entry time T(d) (cover._entry_multiplier), so step k takes the
+    d with T(d) = k, in ascending order.
+
+    lo and hi are products of those odd parts, floored and ceiled to at
+    most bits bits (exp counts the bits dropped) after every odd part and
+    every step; exp also carries M_2(k).  With bits None nothing is
+    dropped: lo is hi is the exact odd part of lcm_k.
     """
+    n = len(seq)
+    entering: list[list[int]] = [[] for _ in range(n + 1)]  # [k]: the d with T(d) = k
+    for d in range(1, 2 * n + 1):
+        q = _entry_multiplier(seq, d, n)
+        if q:
+            entering[d * q // 2].append(d)
     lo = hi = 1
     dropped = 0  # bits cut from lo and hi
+    m2 = 0  # M_2(k)
+    power = 1  # a^k
     fresh: list[int] = []
-    steps = _exact_steps(a, _shift_list(shifts, n_max))
-    for k, (new, odd, m2) in enumerate(steps, 1):
-        fresh += new
+    for k, shift in enumerate(seq, 1):
+        power *= a
+        m2 = max(m2, valuation(2, power + shift))
+        fresh += entering[k]
+        values = [cyclotomic_value(d, a) for d in entering[k]]
+        odd = [x >> valuation(2, x) for x in values]
         if bits is None:
             for v in odd:
                 lo *= v
@@ -190,12 +183,11 @@ def exact_lcm_stream(
 ) -> Iterator[tuple[int, int]]:
     """Iterator of (k, lcm(a + s_1, ..., a^k + s_k)) for k = 1..n_max, exactly.
 
-    a and n_max are checked at the call; each shift must be -1 or +1 and
-    is checked at its own step.
+    a, n_max and the shifts (each -1 or +1) are checked at the call.
     """
     _check_exact_args(a, n_max)
-    every = range(1, n_max + 1)
-    enclosures = _lcm_enclosures(a, shifts, n_max, every, None)
+    seq = _shift_list(shifts, n_max)
+    enclosures = _lcm_enclosures(a, seq, range(1, n_max + 1), None)
     return ((k, lo << exp) for k, _, lo, _, exp in enclosures)
 
 
@@ -215,7 +207,7 @@ def exact_log_lcm_series(
     """Exact growth series with samples at n ≡ 0 (mod step) and at n_max.
 
     Each sample carries both log of the exact lcm and the totient-sum
-    surrogate over the literal divisor-set union, so the two normalized
+    surrogate over the same union L(n), so the two normalized
     ratios can be compared directly.  Every integer in an enclosure whose
     ends share their bit length and top 64 bits shares both, and log_big
     reads nothing else, so log_lcm is log_big of the exact lcm bit for bit.
@@ -231,13 +223,14 @@ def exact_log_lcm_series(
             f"(requested {n_max}); pass override_cap=True to force, or use "
             "the surrogate engine for large n"
         )
+    seq = _shift_list(shifts, n_max)
     log_a = math.log(a)
     want = _checkpoints(n_max, step)
     bits = _ENCLOSURE_BITS
     while True:
         phi_total = 0  # sum of phi(d) over L(k)
         samples = []
-        for k, fresh, lo, hi, exp in _lcm_enclosures(a, shifts, n_max, want, bits):
+        for k, fresh, lo, hi, exp in _lcm_enclosures(a, seq, want, bits):
             nbits = lo.bit_length()
             below_top = max(nbits - 64, 0)
             if nbits != hi.bit_length() or lo >> below_top != hi >> below_top:

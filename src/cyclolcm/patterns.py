@@ -120,7 +120,7 @@ def all_sign_words(max_period: int) -> list[str]:
 
 def _shift_list(shifts: SignPattern | Sequence[int], n: int) -> list[int]:
     """s_1..s_n from a pattern, or the first n entries of an explicit list,
-    which must be Python ints; each value is checked where it is used.
+    each of which must be the Python int -1 or +1.
     A SignPattern is a tuple too, hence a Sequence: it is tested for first."""
     if isinstance(shifts, SignPattern):
         return shifts.shifts(n)
@@ -128,7 +128,7 @@ def _shift_list(shifts: SignPattern | Sequence[int], n: int) -> list[int]:
         raise ValueError(f"need at least {n} shifts, got {len(shifts)}")
     seq = list(shifts[:n])
     for s in seq:
-        if type(s) is not int:
+        if type(s) is not int or s not in (-1, 1):
             raise ValueError(f"shift must be -1 or +1, got {s!r}")
     return seq
 

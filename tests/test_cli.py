@@ -227,6 +227,30 @@ def test_growth_usage_errors():
     assert run_cli("growth", "--base", "2", "--n-max", "10").returncode == 1
 
 
+def test_growth_force_exact_requires_exact(capsys):
+    # without --exact the flag would be ignored and the surrogate would run
+    argv = ["growth", "--base", "2", "--pattern", "-", "--n-max", "10", "--force-exact"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--force-exact requires --exact" in captured.err
+
+
+def test_every_short_word_is_a_pattern_value(capsys):
+    # "--" included, which argparse would otherwise drop as the options marker
+    from cyclolcm.constants import growth_constant
+    from cyclolcm.patterns import all_sign_words, parse_pattern
+
+    for word in all_sign_words(3):
+        assert main(["constant", "--pattern", word]) == 0, word
+        c = growth_constant(parse_pattern(word)).C
+        assert capsys.readouterr().out == f"{c}\t{float(c)!r}\n", word
+    for extra in ([], ["--exact"]):
+        argv = ["growth", "--base", "2", "--pattern", "--", "--n-max", "20", "--step", "10"]
+        assert main(argv + extra) == 0
+        assert capsys.readouterr().out.count("\n") == 3
+
+
 def test_growth_deterministic():
     args = ("growth", "--base", "2", "--pattern", "+", "--n-max", "200", "--step", "50")
     a = run_cli(*args)

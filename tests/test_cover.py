@@ -15,6 +15,7 @@ from cyclolcm import (
     pattern_cover,
 )
 from cyclolcm import verify
+from cyclolcm.cover import _entry_multiplier, _entry_times
 from cyclolcm.patterns import MAX_PERIOD, SignPattern
 from cyclolcm.verify import _cover_matches_oracle
 
@@ -92,6 +93,30 @@ def test_cover_equals_oracle_random_patterns(word):
     # minus-side slopes 1/j only
     for t, theta in pattern_cover(pattern).slopes.items():
         assert 0 < theta <= (1 if t % 2 else 2)
+
+
+def rule_entry_times(seq, n):
+    """{d: T(d)} for d <= 2n by the first-entry rule over s_1..s_n."""
+    times = {}
+    for d in range(1, 2 * n + 1):
+        q = _entry_multiplier(seq, d, n)
+        if q:
+            times[d] = d * q // 2
+    return times
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    seq=st.lists(st.sampled_from((-1, 1)), min_size=1, max_size=200)
+    | st.builds(
+        lambda word, n: SignPattern(tuple(word)).shifts(n),
+        st.lists(st.sampled_from((-1, 1)), min_size=1, max_size=MAX_PERIOD),
+        st.integers(1, 200),
+    )
+)
+def test_entry_rule_equals_literal_union(seq):
+    # explicit +-1 lists and prefixes of periodic words alike
+    assert rule_entry_times(seq, len(seq)) == _entry_times(seq, len(seq))
 
 
 def first_mismatch_by_scan(cover, pattern, n_max):

@@ -29,7 +29,7 @@ from cyclolcm.growth import (
     ENVELOPE_K,
     EXACT_ENGINE_CAP,
     GROWTH_CSV_HEADER,
-    _exact_steps,
+    _lcm_enclosures,
 )
 from cyclolcm.patterns import MAX_PERIOD, SignPattern
 
@@ -62,20 +62,14 @@ def test_exact_series_validation():
         exact_log_lcm_series(2, parse_pattern("-"), -3)
 
 
-def test_stream_rejects_other_shifts_when_consumed():
-    # the stream is lazy: a bad shift is found at its own step
-    stream = exact_lcm_stream(2, [1, 0, 1], 3)
-    assert next(stream) == (1, 3)
-    with pytest.raises(ValueError, match="shift must be -1 or \\+1"):
-        next(stream)
-
-
 def test_stream_rejects_bad_arguments_when_called():
-    # checked before the first next(), unlike a shift at its own step
+    # checked before the first next()
     with pytest.raises(ValueError, match="base a must be >= 2"):
         exact_lcm_stream(1, parse_pattern("-"), 3)
     with pytest.raises(ValueError, match="n_max must be >= 1"):
         exact_lcm_stream(2, parse_pattern("-"), 0)
+    with pytest.raises(ValueError, match="shift must be -1 or \\+1"):
+        exact_lcm_stream(2, [1, 0, 1], 3)
 
 
 def test_exact_engine_cap_and_override():
@@ -163,16 +157,19 @@ def test_stream_matches_lcm_fold_at_every_k(a):
 def test_cyclotomic_product_over_lcm_is_the_2adic_term(a, shifts):
     # lcm_k = 2^M_2(k) * prod_{d in L(k)} odd(Phi_d(a)): the odd parts carry
     # every odd prime of the lcm, and M_2(k) = v_2(lcm_k)
-    fold = _lcm_fold(a, shifts, range(1, len(shifts) + 1))
+    every = range(1, len(shifts) + 1)
+    fold = _lcm_fold(a, shifts, every)
     union, product = set(), 1
-    for k, (fresh, odd, m2) in enumerate(_exact_steps(a, shifts), 1):
-        assert set(fresh) == set(divisor_set(k, shifts[k - 1])) - union, k
+    for k, fresh, lo, hi, exp in _lcm_enclosures(a, shifts, every, None):
+        # the entry rule's new d are the literal union's, in ascending order
+        assert fresh == [d for d in divisor_set(k, shifts[k - 1]) if d not in union], k
         union.update(fresh)
-        for d, part in zip(fresh, odd):
-            assert part % 2 and cyclotomic_value(d, a) % part == 0, (k, d)
-            product *= part
-        assert product % 2 and product == fold[k] >> m2, k
-        assert m2 == valuation(2, fold[k]), k
+        for d in fresh:
+            value = cyclotomic_value(d, a)
+            product *= value >> valuation(2, value)
+        assert lo == hi == product and product % 2, k
+        assert product == fold[k] >> exp, k
+        assert exp == valuation(2, fold[k]), k
 
 
 SERIES_BASES = [3, 5, 9, 15, 17, 31, 999, 2**70 + 1, 2**70 - 1]
@@ -228,7 +225,7 @@ def test_lcm_enclosure_holds_at_every_k(a, shifts):
     every = range(1, len(shifts) + 1)
     fold = _lcm_fold(a, shifts, every)
     for bits in (1, 8, 128):
-        enclosures = growth._lcm_enclosures(a, shifts, len(shifts), every, bits)
+        enclosures = growth._lcm_enclosures(a, shifts, every, bits)
         for k, _, lo, hi, exp in enclosures:
             assert lo << exp <= fold[k] <= hi << exp, (bits, k)
             assert hi.bit_length() <= bits + 1, (bits, k)
