@@ -4,7 +4,7 @@ For an integer base a >= 2 and shifts s_k in {-1, +1}, the log of the
 running least common multiple of the shifted powers grows like
 C * (log a / pi^2) * n^2.  This package computes C exactly (as a reduced
 rational) for every periodic shift pattern, evaluates the random-shift
-constant 6 * Li2(1/2), and provides exact big-integer engines, totient-sum
+constant 6 * Li2(1/2), and provides an exact big-integer engine, totient-sum
 surrogates, and seeded Monte Carlo experiments to watch the convergence.
 
 Each exported name loads its defining module on first use (PEP 562), so
@@ -24,8 +24,8 @@ _HOME = {
         "patterns": "SignPattern parse_pattern random_shifts subseed",
         "cover": "ProgressionCover pattern_cover cover_members oracle_L",
         "constants": "GrowthConstant growth_constant dilog random_model_constant",
-        "growth": "GrowthSample exact_lcm_stream exact_log_lcm_series surrogate_series "
-        "convergence_report write_growth_csv",
+        "growth": "GrowthSample exact_log_lcm_series surrogate_series convergence_report "
+        "write_growth_csv",
         "stochastic": "TrialResult indicator_expectation pair_expectation expected_X "
         "variance_bound gcd_pair_sum monte_carlo",
     }.items()

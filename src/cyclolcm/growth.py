@@ -2,9 +2,9 @@
 
 Two engines:
 
-* the exact engine builds lcm over arbitrary-precision shifted powers
-  from their cyclotomic factors, exactly or between two close bounds,
-  and also tracking the totient-sum surrogate
+* the exact engine brackets lcm over arbitrary-precision shifted powers
+  between two close bounds built from their cyclotomic factors, close
+  enough to read its log exactly, and also tracks the totient-sum surrogate
   phi_sum = sum_{d in L(n)} phi(d) * log a over the divisor-set union
   L(n), each d taken at its first-entry time.  Each phi(d) comes from
   the factorization of d that Phi_d(a) already cached, not from a sieve,
@@ -33,12 +33,12 @@ C * (log a / pi^2) * n^2 nats (~5 Mbit at a=2, n=4000).  It is the
 product of the odd parts of Phi_d(a) over L(n) times 2^M_2(n), with
 M_2(n) = max_{j<=n} v_2(a^j + s_j) (see _lcm_enclosures), so no gcd or
 division at the lcm's size is needed.  One loop, _lcm_enclosures, brackets
-lcm_n between two products of its odd parts cut to a fixed width; the
-stream cuts nothing, and the series reads log lcm_n from 128-bit ends (see
-exact_log_lcm_series), so it multiplies no big accumulator and the largest
-share of its time is Phi_d(a) (timings in the README).
+lcm_n between two products of its odd parts cut to a fixed width, and the
+series reads log lcm_n from 128-bit ends (see exact_log_lcm_series), so it
+multiplies no big accumulator and the largest share of its time is
+Phi_d(a) (timings in the README).
 exact_log_lcm_series refuses n_max beyond EXACT_ENGINE_CAP (2000) unless
-override_cap is set; exact_lcm_stream takes any n_max >= 1.
+override_cap is set.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ __all__ = [
     "GROWTH_CSV_HEADER",
     "GrowthSample",
     "ConvergenceReport",
-    "exact_lcm_stream",
     "exact_log_lcm_series",
     "surrogate_series",
     "convergence_report",
@@ -114,15 +113,17 @@ class ConvergenceReport(NamedTuple):
     within_envelope_surrogate: bool | None
 
 
-def _check_exact_args(a: int, n_max: int) -> None:
+def _check_growth_args(a: int, n_max: int, step: int) -> None:
     if a < 2:
         raise ValueError(f"base a must be >= 2, got {a}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if step < 1:
+        raise ValueError(f"step must be >= 1, got {step}")
 
 
 def _lcm_enclosures(
-    a: int, seq: list[int], want: Container[int], bits: int | None
+    a: int, seq: list[int], want: Container[int], bits: int
 ) -> Iterator[tuple[int, list[int], int, int, int]]:
     """Yield (k, the d new to L since the last checkpoint, lo, hi, exp) for
     k in want, with lo * 2^exp <= lcm_k <= hi * 2^exp; seq is s_1..s_n as
@@ -139,8 +140,7 @@ def _lcm_enclosures(
 
     lo and hi are products of those odd parts, floored and ceiled to at
     most bits bits (exp counts the bits dropped) after every odd part and
-    every step; exp also carries M_2(k).  With bits None nothing is
-    dropped: lo is hi is the exact odd part of lcm_k.
+    every step; exp also carries M_2(k).
     """
     n = len(seq)
     entering: list[list[int]] = [[] for _ in range(n + 1)]  # [k]: the d with T(d) = k
@@ -159,36 +159,18 @@ def _lcm_enclosures(
         fresh += entering[k]
         values = [cyclotomic_value(d, a) for d in entering[k]]
         odd = [x >> valuation(2, x) for x in values]
-        if bits is None:
-            for v in odd:
-                lo *= v
-            hi = lo
-        else:
-            for v in odd:
-                cut = max(v.bit_length() - bits, 0)
-                lo *= v >> cut
-                hi *= -(-v >> cut)
-                dropped += cut
-            cut = max(hi.bit_length() - bits, 0)
-            lo >>= cut
-            hi = -(-hi >> cut)
+        for v in odd:
+            cut = max(v.bit_length() - bits, 0)
+            lo *= v >> cut
+            hi *= -(-v >> cut)
             dropped += cut
+        cut = max(hi.bit_length() - bits, 0)
+        lo >>= cut
+        hi = -(-hi >> cut)
+        dropped += cut
         if k in want:
             yield k, fresh, lo, hi, dropped + m2
             fresh = []
-
-
-def exact_lcm_stream(
-    a: int, shifts: SignPattern | Sequence[int], n_max: int
-) -> Iterator[tuple[int, int]]:
-    """Iterator of (k, lcm(a + s_1, ..., a^k + s_k)) for k = 1..n_max, exactly.
-
-    a, n_max and the shifts (each -1 or +1) are checked at the call.
-    """
-    _check_exact_args(a, n_max)
-    seq = _shift_list(shifts, n_max)
-    enclosures = _lcm_enclosures(a, seq, range(1, n_max + 1), None)
-    return ((k, lo << exp) for k, _, lo, _, exp in enclosures)
 
 
 def _checkpoints(n_max: int, step: int) -> set[int]:
@@ -214,9 +196,7 @@ def exact_log_lcm_series(
     Wider ends restart the series at twice the width; that ends, as a
     width past every bit cuts nothing.
     """
-    _check_exact_args(a, n_max)
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
+    _check_growth_args(a, n_max, step)
     if n_max > EXACT_ENGINE_CAP and not override_cap:
         raise ValueError(
             f"exact engine capped at n_max <= {EXACT_ENGINE_CAP} "
@@ -258,10 +238,7 @@ def surrogate_series(
     over d ≡ t (mod M), d <= r*M + t.  Each sample then reads one entry
     per cover class.
     """
-    if a < 2:
-        raise ValueError(f"base a must be >= 2, got {a}")
-    if n_max < 1 or step < 1:
-        raise ValueError(f"n_max and step must be >= 1, got ({n_max}, {step})")
+    _check_growth_args(a, n_max, step)
     log_a = math.log(a)
     cover = pattern_cover(pattern)
     modulus = cover.modulus

@@ -48,8 +48,8 @@ class PatternError(ValueError):
     """Raised for malformed sign pattern strings."""
 
 
-# A NamedTuple class may not define __new__, so the check is in a subclass,
-# and _make (behind _replace) goes through it.
+# A NamedTuple class may not define __new__, so the check and the tuple copy
+# are in a subclass, and _make (behind _replace) goes through it.
 class _SignPatternFields(NamedTuple):
     word: tuple[int, ...]
 
@@ -59,7 +59,8 @@ class SignPattern(_SignPatternFields):
 
     __slots__ = ()
 
-    def __new__(cls, word: tuple[int, ...]) -> SignPattern:
+    def __new__(cls, word: Sequence[int]) -> SignPattern:
+        word = tuple(word)
         if not word:
             raise PatternError("pattern must be nonempty")
         if len(word) > MAX_PERIOD:

@@ -11,7 +11,6 @@ from cyclolcm import (
     convergence_report,
     cyclotomic_value,
     divisor_set,
-    exact_lcm_stream,
     exact_log_lcm_series,
     growth_constant,
     log_big,
@@ -36,11 +35,27 @@ from cyclolcm.patterns import MAX_PERIOD, SignPattern
 LN2 = math.log(2)
 
 
+def _exact_bits(a, n):
+    """An enclosure width past every bit of lcm_k for k <= n: a^j + 1 <=
+    2^(j * bitlen(a)), so lcm_n <= 2^(n^2 * bitlen(a))."""
+    return n * n * a.bit_length() + 64
+
+
+def _exact_lcm(a, shifts, keep):
+    """{k: lcm(a + s_1, ..., a^k + s_k)} for k in keep, read from the
+    enclosure stream _lcm_enclosures at a width that cuts nothing, so a
+    width too narrow fails on lo == hi."""
+    out = {}
+    for k, _, lo, hi, exp in _lcm_enclosures(a, shifts, keep, _exact_bits(a, len(shifts))):
+        assert lo == hi, k
+        out[k] = lo << exp
+    return out
+
+
 def test_exact_stream_small_values():
-    values = dict(exact_lcm_stream(2, parse_pattern("-"), 3))
-    assert values == {1: 1, 2: 3, 3: 21}
-    values = dict(exact_lcm_stream(2, parse_pattern("+"), 3))
-    assert values == {1: 3, 2: 15, 3: 45}
+    every = range(1, 4)
+    assert _exact_lcm(2, parse_pattern("-").shifts(3), every) == {1: 1, 2: 3, 3: 21}
+    assert _exact_lcm(2, parse_pattern("+").shifts(3), every) == {1: 3, 2: 15, 3: 45}
 
 
 def test_exact_series_small():
@@ -54,22 +69,27 @@ def test_exact_series_small():
 
 
 def test_exact_series_validation():
-    with pytest.raises(ValueError):
-        exact_log_lcm_series(1, parse_pattern("-"), 5)
-    with pytest.raises(ValueError):
-        exact_log_lcm_series(2, parse_pattern("-"), 5, step=0)
-    with pytest.raises(ValueError, match="n_max must be >= 1, got -3"):
-        exact_log_lcm_series(2, parse_pattern("-"), -3)
+    # both engines share one check, with one message per argument
+    cases = [
+        ((1, 5), "base a must be >= 2, got 1"),
+        ((2, 0), "n_max must be >= 1, got 0"),
+        ((2, -3), "n_max must be >= 1, got -3"),
+        ((2, 5, 0), "step must be >= 1, got 0"),
+    ]
+    for engine in (exact_log_lcm_series, surrogate_series):
+        for (a, *rest), message in cases:
+            with pytest.raises(ValueError, match=message):
+                engine(a, parse_pattern("-"), *rest)
 
 
 def test_stream_rejects_bad_arguments_when_called():
-    # checked before the first next()
+    # the exact engine checks its arguments before it reads the enclosure stream
     with pytest.raises(ValueError, match="base a must be >= 2"):
-        exact_lcm_stream(1, parse_pattern("-"), 3)
+        exact_log_lcm_series(1, parse_pattern("-"), 3)
     with pytest.raises(ValueError, match="n_max must be >= 1"):
-        exact_lcm_stream(2, parse_pattern("-"), 0)
-    with pytest.raises(ValueError, match="shift must be -1 or \\+1"):
-        exact_lcm_stream(2, [1, 0, 1], 3)
+        exact_log_lcm_series(2, parse_pattern("-"), 0)
+    with pytest.raises(ValueError, match="shift must be -1 or \\+1, got 0"):
+        exact_log_lcm_series(2, [1, 0, 1], 3)
 
 
 def test_exact_engine_cap_and_override():
@@ -84,7 +104,7 @@ def test_exact_engine_cap_and_override():
 
 def test_divisibility_chain():
     prev = None
-    for _, value in exact_lcm_stream(3, parse_pattern("-+"), 60):
+    for value in _exact_lcm(3, parse_pattern("-+").shifts(60), range(1, 61)).values():
         if prev is not None:
             assert value % prev == 0
         prev = value
@@ -112,7 +132,7 @@ def test_cross_engine_consistency(a, word):
         term = power + shifts[k - 1]
         acc = acc // _naive_gcd(acc, term) * term
         naive[k] = acc
-    assert dict(exact_lcm_stream(a, shifts, n)) == naive
+    assert _exact_lcm(a, shifts, range(1, n + 1)) == naive
     # phi_sum is the sieve's totients summed over the brute-force union,
     # the same integer times the same log a
     phi = totient_sieve(2 * n)
@@ -131,11 +151,7 @@ def _lcm_fold(a, shifts, keep):
     return out
 
 
-def _stream_at(a, shifts, keep):
-    return {k: v for k, v in exact_lcm_stream(a, shifts, len(shifts)) if k in keep}
-
-
-STREAM_WORDS = ["-", "+", "-+", "--+", "-+-++"]
+FOLD_WORDS = ["-", "+", "-+", "--+", "-+-++"]
 
 
 @pytest.mark.parametrize("a", [2, 3, 4, 6, 9, 10, 12, 30])
@@ -143,10 +159,10 @@ def test_stream_matches_lcm_fold_at_every_k(a):
     # odd a puts p = 2 on the chain 1, 2, 4, ...; primes dividing a have none
     n = 300
     every = range(1, n + 1)
-    cases = [parse_pattern(w).shifts(n) for w in STREAM_WORDS]
+    cases = [parse_pattern(w).shifts(n) for w in FOLD_WORDS]
     cases += [random_shifts(seed, n) for seed in (1, 0xC0FFEE)]
     for shifts in cases:
-        assert _stream_at(a, shifts, every) == _lcm_fold(a, shifts, every)
+        assert _exact_lcm(a, shifts, every) == _lcm_fold(a, shifts, every)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -160,7 +176,8 @@ def test_cyclotomic_product_over_lcm_is_the_2adic_term(a, shifts):
     every = range(1, len(shifts) + 1)
     fold = _lcm_fold(a, shifts, every)
     union, product = set(), 1
-    for k, fresh, lo, hi, exp in _lcm_enclosures(a, shifts, every, None):
+    bits = _exact_bits(a, len(shifts))
+    for k, fresh, lo, hi, exp in _lcm_enclosures(a, shifts, every, bits):
         # the entry rule's new d are the literal union's, in ascending order
         assert fresh == [d for d in divisor_set(k, shifts[k - 1]) if d not in union], k
         union.update(fresh)
@@ -233,23 +250,27 @@ def test_lcm_enclosure_holds_at_every_k(a, shifts):
 
 @pytest.mark.parametrize("a", [2, 3])
 def test_series_matches_stream_at_every_k(a):
+    # the 128-bit series against the enclosure stream at a width that cuts nothing
     n = 1000
-    for shifts in (parse_pattern("-"), parse_pattern("+"), random_shifts(5, n)):
+    every = range(1, n + 1)
+    cases = [parse_pattern(w).shifts(n) for w in ("-", "+")] + [random_shifts(5, n)]
+    for shifts in cases:
         series = [s.log_lcm for s in exact_log_lcm_series(a, shifts, n, 1)]
-        assert series == [log_big(lcm) for _, lcm in exact_lcm_stream(a, shifts, n)]
+        assert series == [log_big(lcm) for lcm in _exact_lcm(a, shifts, every).values()]
 
 
 # At a = 10 one fold to n = 1000 takes about 5 s, so only random shifts run.
 @pytest.mark.parametrize(
-    "a, words", [(2, STREAM_WORDS), (10, [])], ids=["a=2", "a=10"]
+    "a, words", [(2, FOLD_WORDS), (10, [])], ids=["a=2", "a=10"]
 )
-def test_stream_matches_lcm_fold_at_checkpoints(a, words):
+def test_series_matches_lcm_fold_to_n_1000(a, words):
     n = 1000
-    checkpoints = range(100, n + 1, 100)
     cases = [parse_pattern(w).shifts(n) for w in words]
     cases.append(random_shifts(7, n))
     for shifts in cases:
-        assert _stream_at(a, shifts, checkpoints) == _lcm_fold(a, shifts, checkpoints)
+        fold = _lcm_fold(a, shifts, range(100, n + 1, 100))
+        series = exact_log_lcm_series(a, shifts, n, 100)
+        assert {s.n: s.log_lcm for s in series} == {k: log_big(v) for k, v in fold.items()}
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -259,7 +280,7 @@ def test_stream_matches_lcm_fold_at_checkpoints(a, words):
 )
 def test_ledger_equals_fold_property(a, shifts):
     every = range(1, len(shifts) + 1)
-    assert _stream_at(a, shifts, every) == _lcm_fold(a, shifts, every)
+    assert _exact_lcm(a, shifts, every) == _lcm_fold(a, shifts, every)
 
 
 def test_surrogate_small_sums():
