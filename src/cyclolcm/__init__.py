@@ -23,7 +23,7 @@ _HOME = {
         "cyclotomic": "cyclotomic_value divisor_set divisors totient totient_sieve",
         "patterns": "SignPattern parse_pattern random_shifts subseed",
         "cover": "ProgressionCover pattern_cover cover_members oracle_L",
-        "constants": "GrowthConstant growth_constant dilog random_model_constant",
+        "constants": "GrowthConstant growth_constant random_model_constant",
         "growth": "GrowthSample exact_log_lcm_series surrogate_series convergence_report "
         "write_growth_csv",
         "stochastic": "TrialResult indicator_expectation pair_expectation expected_X "

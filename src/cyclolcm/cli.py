@@ -20,6 +20,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 # Each command imports the engine it runs (and json, where it prints JSON)
@@ -57,10 +58,11 @@ class UsageError(ValueError):
 
 
 def _parse_seed(text: str) -> int:
-    try:
-        value = int(text, 16) if text.lower().startswith("0x") else int(text, 10)
-    except ValueError:
+    # ASCII digits only: int() would also take "1_000", " 5", "+5" and
+    # non-ASCII digits
+    if not re.fullmatch(r"[0-9]+|0x[0-9a-fA-F]+", text):
         raise UsageError(f"seed must be decimal or 0x-hex, got {text!r}")
+    value = int(text, 16) if text.startswith("0x") else int(text)
     if not 0 <= value < 1 << 64:
         raise UsageError(f"seed must fit in 64 bits, got {text}")
     return value

@@ -1,4 +1,4 @@
-"""Exact growth constants and the dilogarithm quantities of the random model.
+"""Exact growth constants and the random model's dilogarithm constant.
 
 The density constant
 
@@ -29,7 +29,6 @@ from .patterns import SignPattern
 __all__ = [
     "GrowthConstant",
     "growth_constant",
-    "dilog",
     "random_model_constant",
 ]
 
@@ -76,29 +75,7 @@ def growth_constant(pattern: SignPattern) -> GrowthConstant:
     return GrowthConstant(pattern, Fraction(3 * total, scale), cover)
 
 
-def dilog(z: float) -> float:
-    """Dilogarithm sum_{k>=1} z^k / k^2 for 0 <= z <= 1/2.
-
-    Plain series summation: on this range terms shrink at least
-    geometrically with ratio 1/2, so ~60 terms give absolute error well
-    under 1e-14.  Terms are accumulated smallest-first to keep rounding
-    noise below the requested tolerance.
-    """
-    if not 0.0 <= z <= 0.5:
-        raise ValueError(f"dilog implemented only on [0, 1/2], got {z}")
-    if z == 0.0:
-        return 0.0
-    terms = []
-    power = 1.0
-    for k in range(1, 200):
-        power *= z
-        term = power / (k * k)
-        terms.append(term)
-        if term < 1e-20:
-            break
-    return math.fsum(reversed(terms))
-
-
 def random_model_constant() -> float:
-    """The random-shift growth constant 6 * Li2(1/2) ~= 3.4934431587900."""
-    return 6.0 * dilog(0.5)
+    """The random-shift growth constant 6 * Li2(1/2) ~= 3.4934431587900,
+    by Euler's closed form of Li2(1/2)."""
+    return math.pi**2 / 2 - 3 * math.log(2) ** 2

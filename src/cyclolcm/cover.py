@@ -17,7 +17,7 @@ is an integer with s_k = -1 for even q (d divides k) or s_k = +1 for odd q
 the union at T(d) = d*q/2 for the least such q with d*q/2 <= n; that is,
 q = min(2*j_minus, j_plus) with j_minus the least j with s_{d*j} = -1 and
 j_plus the least odd j with s_{(d/2)*j} = +1.  The exact growth engine
-applies the rule to the finite word s_1..s_n.  For a periodic word of
+applies the rule to the finite word s_1..s_n (_entry_buckets).  For a periodic word of
 period m, d ≡ t (mod 2m) gives d*q/2 ≡ t*q/2 (mod m), so every d of the
 class has the q of t, and q + 2m reads the same shift as q, so q <= 2m.
 Hence d is in the union at x iff d <= (2/q) * x: theta_t = 2/q, and t has
@@ -40,8 +40,8 @@ __all__ = [
 ]
 
 
-# A NamedTuple class may not define __new__, so the check is in a subclass,
-# and _make (behind _replace) goes through it.
+# A NamedTuple class may not define __new__, so the check and the dict copy
+# are in a subclass, and _make (behind _replace) goes through it.
 class _ProgressionCoverFields(NamedTuple):
     modulus: int
     slopes: dict[int, Fraction]
@@ -53,8 +53,9 @@ class ProgressionCover(_ProgressionCoverFields):
     __slots__ = ()
 
     def __new__(cls, modulus: int, slopes: dict[int, Fraction]) -> ProgressionCover:
+        slopes = dict(slopes)
         for t, theta in slopes.items():
-            if not 1 <= t <= modulus:
+            if type(t) is not int or not 1 <= t <= modulus:
                 raise ValueError(f"residue {t} outside 1..{modulus}")
             # 0 < theta <= 2 on integers: a Fraction's denominator is positive
             if not 0 < theta.numerator <= 2 * theta.denominator:
@@ -84,6 +85,17 @@ def _entry_multiplier(word: Sequence[int], t: int, n: int) -> int:
     m, step = len(word), 1 + t % 2  # odd t: only even q give an index
     qs = range(step, 2 * n // t + 1, step)
     return next((q for q in qs if word[(t * q // 2 - 1) % m] == (1 if q % 2 else -1)), 0)
+
+
+def _entry_buckets(seq: Sequence[int]) -> list[list[int]]:
+    """[k]: the d <= 2n with T(d) = k, ascending, for the word seq = s_1..s_n."""
+    n = len(seq)
+    buckets: list[list[int]] = [[] for _ in range(n + 1)]
+    for d in range(1, 2 * n + 1):
+        q = _entry_multiplier(seq, d, n)
+        if q:
+            buckets[d * q // 2].append(d)
+    return buckets
 
 
 def pattern_cover(pattern: SignPattern) -> ProgressionCover:

@@ -7,8 +7,8 @@ Two engines:
   enough to read its log exactly, and also tracks the totient-sum surrogate
   phi_sum = sum_{d in L(n)} phi(d) * log a over the divisor-set union
   L(n), each d taken at its first-entry time.  Each phi(d) comes from
-  the factorization of d that Phi_d(a) already cached, not from a sieve,
-  so the engine builds no array.  In nats the two are related by
+  the cached factorization of d that Phi_d(a) then reuses, not from a
+  sieve, so the engine builds no array.  In nats the two are related by
 
       log_lcm = phi_sum + sum_{d in L(n)} sum_{e | d} mu(d/e) log(1 - a^-e)
                 - slack,
@@ -32,11 +32,13 @@ pattern's growth constant.  lcm_n reaches roughly
 C * (log a / pi^2) * n^2 nats (~5 Mbit at a=2, n=4000).  It is the
 product of the odd parts of Phi_d(a) over L(n) times 2^M_2(n), with
 M_2(n) = max_{j<=n} v_2(a^j + s_j) (see _lcm_enclosures), so no gcd or
-division at the lcm's size is needed.  One loop, _lcm_enclosures, brackets
-lcm_n between two products of its odd parts cut to a fixed width, and the
-series reads log lcm_n from 128-bit ends (see exact_log_lcm_series), so it
-multiplies no big accumulator and the largest share of its time is
-Phi_d(a) (timings in the README).
+division at the lcm's size is needed.  The series takes three steps: it
+buckets each d <= 2n by its first-entry time (cover._entry_buckets) and
+sums phi over the buckets once; _lcm_enclosures then brackets lcm_k
+between two products of its odd parts, cut to a fixed width once per k;
+and the series reads log lcm_n from 128-bit ends (see
+exact_log_lcm_series), so it multiplies no big accumulator and the largest
+share of its time is Phi_d(a) (timings in the README).
 exact_log_lcm_series refuses n_max beyond EXACT_ENGINE_CAP (2000) unless
 override_cap is set.
 """
@@ -44,10 +46,11 @@ override_cap is set.
 from __future__ import annotations
 
 import math
-from typing import IO, Container, Iterator, NamedTuple, Sequence
+from itertools import accumulate
+from typing import IO, Iterator, NamedTuple, Sequence
 
 from .constants import GrowthConstant
-from .cover import _entry_multiplier, pattern_cover
+from .cover import _entry_buckets, pattern_cover
 from .cyclotomic import cyclotomic_value, totient, totient_sieve
 from .exact_arith import log_big, valuation
 from .patterns import SignPattern, _shift_list
@@ -123,54 +126,40 @@ def _check_growth_args(a: int, n_max: int, step: int) -> None:
 
 
 def _lcm_enclosures(
-    a: int, seq: list[int], want: Container[int], bits: int
-) -> Iterator[tuple[int, list[int], int, int, int]]:
-    """Yield (k, the d new to L since the last checkpoint, lo, hi, exp) for
-    k in want, with lo * 2^exp <= lcm_k <= hi * 2^exp; seq is s_1..s_n as
-    _shift_list returns it.
+    a: int, seq: list[int], entering: list[list[int]], bits: int
+) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (k, lo, hi, exp) for every k <= n, with
+    lo * 2^exp <= lcm_k <= hi * 2^exp; seq is s_1..s_n as _shift_list
+    returns it and entering[k] the d with T(d) = k (cover._entry_buckets).
 
     lcm_k = 2^M_2(k) * prod_{d in L(k)} odd(Phi_d(a)), with
     M_2(k) = max_{j<=k} v_2(a^j + s_j).  An odd prime p not dividing a
     divides Phi_d(a) only on its chain ord_p(a) * p^j (Bang, Zsigmondy),
     and the chain members in any D_j form a prefix of that chain, so their
     union already carries the largest power of p.  The power of two is
-    taken straight from its definition.  Each d <= 2n joins L at its
-    first-entry time T(d) (cover._entry_multiplier), so step k takes the
-    d with T(d) = k, in ascending order.
+    taken straight from its definition.
 
-    lo and hi are products of those odd parts, floored and ceiled to at
-    most bits bits (exp counts the bits dropped) after every odd part and
-    every step; exp also carries M_2(k).
+    Step k multiplies the exact odd parts of the entering Phi_d(a) into
+    lo and hi, then floors lo and ceils hi to at most bits bits (exp
+    counts the bits dropped, plus M_2(k)).
     """
-    n = len(seq)
-    entering: list[list[int]] = [[] for _ in range(n + 1)]  # [k]: the d with T(d) = k
-    for d in range(1, 2 * n + 1):
-        q = _entry_multiplier(seq, d, n)
-        if q:
-            entering[d * q // 2].append(d)
     lo = hi = 1
     dropped = 0  # bits cut from lo and hi
     m2 = 0  # M_2(k)
     power = 1  # a^k
-    fresh: list[int] = []
     for k, shift in enumerate(seq, 1):
         power *= a
         m2 = max(m2, valuation(2, power + shift))
-        fresh += entering[k]
-        values = [cyclotomic_value(d, a) for d in entering[k]]
-        odd = [x >> valuation(2, x) for x in values]
-        for v in odd:
-            cut = max(v.bit_length() - bits, 0)
-            lo *= v >> cut
-            hi *= -(-v >> cut)
-            dropped += cut
+        for d in entering[k]:
+            value = cyclotomic_value(d, a)
+            value >>= valuation(2, value)
+            lo *= value
+            hi *= value
         cut = max(hi.bit_length() - bits, 0)
         lo >>= cut
         hi = -(-hi >> cut)
         dropped += cut
-        if k in want:
-            yield k, fresh, lo, hi, dropped + m2
-            fresh = []
+        yield k, lo, hi, dropped + m2
 
 
 def _checkpoints(n_max: int, step: int) -> set[int]:
@@ -193,8 +182,9 @@ def exact_log_lcm_series(
     ratios can be compared directly.  Every integer in an enclosure whose
     ends share their bit length and top 64 bits shares both, and log_big
     reads nothing else, so log_lcm is log_big of the exact lcm bit for bit.
-    Wider ends restart the series at twice the width; that ends, as a
-    width past every bit cuts nothing.
+    Wider ends restart the enclosure at twice the width, with the same
+    buckets and phi sums; that ends, as a width past every bit cuts
+    nothing.
     """
     _check_growth_args(a, n_max, step)
     if n_max > EXACT_ENGINE_CAP and not override_cap:
@@ -204,21 +194,24 @@ def exact_log_lcm_series(
             "the surrogate engine for large n"
         )
     seq = _shift_list(shifts, n_max)
+    entering = _entry_buckets(seq)
+    # [k]: the sum of phi(d) over L(k)
+    phi_totals = list(accumulate(sum(map(totient, bucket)) for bucket in entering))
     log_a = math.log(a)
     want = _checkpoints(n_max, step)
     bits = _ENCLOSURE_BITS
     while True:
-        phi_total = 0  # sum of phi(d) over L(k)
         samples = []
-        for k, fresh, lo, hi, exp in _lcm_enclosures(a, seq, want, bits):
+        for k, lo, hi, exp in _lcm_enclosures(a, seq, entering, bits):
+            if k not in want:
+                continue
             nbits = lo.bit_length()
             below_top = max(nbits - 64, 0)
             if nbits != hi.bit_length() or lo >> below_top != hi >> below_top:
                 break
-            phi_total += sum(totient(d) for d in fresh)
             norm = log_a / math.pi**2 * k * k
             log_lcm = log_big(lo << exp)
-            phi_sum = phi_total * log_a
+            phi_sum = phi_totals[k] * log_a
             samples.append(
                 GrowthSample(k, log_lcm, phi_sum, log_lcm / norm, phi_sum / norm)
             )

@@ -16,7 +16,6 @@ from fractions import Fraction
 import numpy as np
 
 from cyclolcm import (
-    dilog,
     exact_log_lcm_series,
     expected_X,
     growth_constant,
@@ -34,6 +33,7 @@ from cyclolcm.verify import (
     suite_stochastic_oracle,
     suite_table1,
 )
+from test_constants import LI2_HALF_6
 from test_stochastic import gcd_pair_sum_bruteforce
 
 SEED = 0x5EEDC0DE
@@ -101,7 +101,7 @@ def test_c04_stochastic_exhaustive_oracle():
 def test_c05_expected_value_constant():
     n = 10**4
     value = expected_X(n, "float") / n**2
-    target = 6 / math.pi**2 * dilog(0.5)
+    target = LI2_HALF_6 / math.pi**2
     rel = abs(value - target) / target
     ok = report(
         "C5 E[X]/n^2 at n=1e4 vs (6/pi^2)Li2(1/2)",

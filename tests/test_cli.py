@@ -344,6 +344,27 @@ def test_invalid_seed_rejected():
     ).returncode == 1
 
 
+SEEDS_REFUSED = {
+    "underscore": "1_000",
+    "leading-space": " 5",
+    "trailing-space": "5 ",
+    "plus": "+5",
+    "minus": "-5",
+    "arabic-indic-digit": "\u0663",
+    "bare-0x": "0x",
+    "hex-underscore": "0x_1",
+    "upper-0X": "0X2A",
+    "trailing-newline": "5\n",
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS_REFUSED.values(), ids=list(SEEDS_REFUSED))
+def test_seed_accepts_only_ascii_decimal_or_hex(seed, capsys):
+    # int() alone would read most of these as a seed
+    assert main(["random", "--n", "10", "--trials", "2", "--seed", seed]) == 1
+    assert "seed must be decimal or 0x-hex" in capsys.readouterr().err
+
+
 def test_growth_rejects_malformed_seed_without_random():
     out = run_cli("growth", "--base", "2", "--pattern", "-", "--n-max", "5", "--seed", "zz")
     assert out.returncode == 1

@@ -15,7 +15,7 @@ from cyclolcm import (
     pattern_cover,
 )
 from cyclolcm import verify
-from cyclolcm.cover import _entry_multiplier, _entry_times
+from cyclolcm.cover import _entry_buckets, _entry_times
 from cyclolcm.patterns import MAX_PERIOD, SignPattern
 from cyclolcm.verify import _cover_matches_oracle
 
@@ -95,16 +95,6 @@ def test_cover_equals_oracle_random_patterns(word):
         assert 0 < theta <= (1 if t % 2 else 2)
 
 
-def rule_entry_times(seq, n):
-    """{d: T(d)} for d <= 2n by the first-entry rule over s_1..s_n."""
-    times = {}
-    for d in range(1, 2 * n + 1):
-        q = _entry_multiplier(seq, d, n)
-        if q:
-            times[d] = d * q // 2
-    return times
-
-
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(
     seq=st.lists(st.sampled_from((-1, 1)), min_size=1, max_size=200)
@@ -115,8 +105,12 @@ def rule_entry_times(seq, n):
     )
 )
 def test_entry_rule_equals_literal_union(seq):
-    # explicit +-1 lists and prefixes of periodic words alike
-    assert rule_entry_times(seq, len(seq)) == _entry_times(seq, len(seq))
+    # explicit +-1 lists and prefixes of periodic words alike; each bucket
+    # ascending, so the buckets in order list the union by entry time
+    buckets = _entry_buckets(seq)
+    assert buckets[0] == [] and all(b == sorted(b) for b in buckets)
+    times = {d: k for k, bucket in enumerate(buckets) for d in bucket}
+    assert times == _entry_times(seq, len(seq))
 
 
 def first_mismatch_by_scan(cover, pattern, n_max):
@@ -185,3 +179,20 @@ def test_cover_validation():
         pattern_cover(parse_pattern("+-"))._replace(modulus=0)
     with pytest.raises(ValueError):
         cover_members(ProgressionCover(2, {1: F(1)}), 0)
+    for t in (1.5, 1.0, True, F(1)):
+        with pytest.raises(ValueError, match="residue"):
+            ProgressionCover(2, {t: F(1)})
+
+
+def test_cover_keeps_no_reference_to_the_callers_dict():
+    slopes = {1: F(1)}
+    cover = ProgressionCover(2, slopes)
+    slopes[3] = F(0)
+    slopes[1] = F(2)
+    assert cover.slopes == {1: F(1)}
+    assert repr(cover) == "ProgressionCover(modulus=2, slopes={1: Fraction(1, 1)})"
+    assert cover_members(cover, 5) == [1, 3, 5]
+    other = {2: F(1)}
+    replaced = cover._replace(slopes=other)
+    other[1] = F(1)
+    assert replaced.slopes == {2: F(1)}

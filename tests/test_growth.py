@@ -24,6 +24,7 @@ from cyclolcm import (
     write_growth_csv,
 )
 from cyclolcm import growth
+from cyclolcm.cover import _entry_buckets
 from cyclolcm.growth import (
     ENVELOPE_K,
     EXACT_ENGINE_CAP,
@@ -43,16 +44,19 @@ def _exact_bits(a, n):
 
 def _exact_lcm(a, shifts, keep):
     """{k: lcm(a + s_1, ..., a^k + s_k)} for k in keep, read from the
-    enclosure stream _lcm_enclosures at a width that cuts nothing, so a
-    width too narrow fails on lo == hi."""
+    enclosure stream _lcm_enclosures over the word's entry buckets at a
+    width that cuts nothing, so a width too narrow fails on lo == hi at
+    some k."""
     out = {}
-    for k, _, lo, hi, exp in _lcm_enclosures(a, shifts, keep, _exact_bits(a, len(shifts))):
+    bits = _exact_bits(a, len(shifts))
+    for k, lo, hi, exp in _lcm_enclosures(a, shifts, _entry_buckets(shifts), bits):
         assert lo == hi, k
-        out[k] = lo << exp
+        if k in keep:
+            out[k] = lo << exp
     return out
 
 
-def test_exact_stream_small_values():
+def test_exact_lcm_small_values():
     every = range(1, 4)
     assert _exact_lcm(2, parse_pattern("-").shifts(3), every) == {1: 1, 2: 3, 3: 21}
     assert _exact_lcm(2, parse_pattern("+").shifts(3), every) == {1: 3, 2: 15, 3: 45}
@@ -82,7 +86,7 @@ def test_exact_series_validation():
                 engine(a, parse_pattern("-"), *rest)
 
 
-def test_stream_rejects_bad_arguments_when_called():
+def test_exact_series_rejects_bad_arguments_when_called():
     # the exact engine checks its arguments before it reads the enclosure stream
     with pytest.raises(ValueError, match="base a must be >= 2"):
         exact_log_lcm_series(1, parse_pattern("-"), 3)
@@ -156,7 +160,8 @@ FOLD_WORDS = ["-", "+", "-+", "--+", "-+-++"]
 
 @pytest.mark.parametrize("a", [2, 3, 4, 6, 9, 10, 12, 30])
 def test_stream_matches_lcm_fold_at_every_k(a):
-    # odd a puts p = 2 on the chain 1, 2, 4, ...; primes dividing a have none
+    # the enclosure stream at a width that cuts nothing; odd a puts p = 2
+    # on the chain 1, 2, 4, ...; primes dividing a have none
     n = 300
     every = range(1, n + 1)
     cases = [parse_pattern(w).shifts(n) for w in FOLD_WORDS]
@@ -177,8 +182,10 @@ def test_cyclotomic_product_over_lcm_is_the_2adic_term(a, shifts):
     fold = _lcm_fold(a, shifts, every)
     union, product = set(), 1
     bits = _exact_bits(a, len(shifts))
-    for k, fresh, lo, hi, exp in _lcm_enclosures(a, shifts, every, bits):
+    entering = _entry_buckets(shifts)
+    for k, lo, hi, exp in _lcm_enclosures(a, shifts, entering, bits):
         # the entry rule's new d are the literal union's, in ascending order
+        fresh = entering[k]
         assert fresh == [d for d in divisor_set(k, shifts[k - 1]) if d not in union], k
         union.update(fresh)
         for d in fresh:
@@ -218,18 +225,24 @@ def test_series_matches_lcm_fold_at_checkpoints(a):
 @pytest.mark.parametrize("bits", [1, 8])
 def test_series_matches_lcm_fold_after_restarts(bits, monkeypatch):
     # enclosures this narrow cannot certify the top 64 bits, so each series
-    # restarts at doubled widths and must still give log_big of the fold
-    calls = []
-    enclosures = growth._lcm_enclosures
+    # restarts at doubled widths and must still give log_big of the fold;
+    # the restarts reuse the series' one set of buckets
+    calls, buckets = [], []
+    enclosures, entry_buckets = growth._lcm_enclosures, growth._entry_buckets
 
     def counted(*args):
         calls.append(args[-1])
         return enclosures(*args)
 
+    def counted_buckets(seq):
+        buckets.append(entry_buckets(seq))
+        return buckets[-1]
+
     monkeypatch.setattr(growth, "_ENCLOSURE_BITS", bits)
     monkeypatch.setattr(growth, "_lcm_enclosures", counted)
+    monkeypatch.setattr(growth, "_entry_buckets", counted_buckets)
     runs = sum(_assert_series_matches_fold(a) for a in SERIES_BASES)
-    assert len(calls) > runs
+    assert len(calls) > runs and len(buckets) == runs
     assert calls[0] == bits and 2 * bits in calls
 
 
@@ -241,15 +254,15 @@ def test_series_matches_lcm_fold_after_restarts(bits, monkeypatch):
 def test_lcm_enclosure_holds_at_every_k(a, shifts):
     every = range(1, len(shifts) + 1)
     fold = _lcm_fold(a, shifts, every)
+    entering = _entry_buckets(shifts)
     for bits in (1, 8, 128):
-        enclosures = growth._lcm_enclosures(a, shifts, every, bits)
-        for k, _, lo, hi, exp in enclosures:
+        for k, lo, hi, exp in growth._lcm_enclosures(a, shifts, entering, bits):
             assert lo << exp <= fold[k] <= hi << exp, (bits, k)
             assert hi.bit_length() <= bits + 1, (bits, k)
 
 
 @pytest.mark.parametrize("a", [2, 3])
-def test_series_matches_stream_at_every_k(a):
+def test_series_matches_exact_lcm_at_every_k(a):
     # the 128-bit series against the enclosure stream at a width that cuts nothing
     n = 1000
     every = range(1, n + 1)
