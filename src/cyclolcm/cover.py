@@ -66,6 +66,9 @@ class ProgressionCover(_ProgressionCoverFields):
     def _make(cls, iterable) -> ProgressionCover:
         return cls(*iterable)
 
+    def __hash__(self) -> int:  # equal dicts hold equal items, in any order
+        return hash((self.modulus, frozenset(self.slopes.items())))
+
     def to_json_obj(self) -> dict:
         return {
             "modulus": self.modulus,
@@ -138,13 +141,21 @@ def cover_members(cover: ProgressionCover, x: int) -> list[int]:
     return sorted(_cover_entry_times(cover, x))
 
 
-def _entry_times(shifts: Sequence[int], n: int) -> dict[int, int]:
-    """{d: least k <= n with d in divisor_set(k, s_k)}: the literal union's entry times."""
-    times: dict[int, int] = {}
+def _entry_times(batch: Sequence[Sequence[int]], n: int) -> list[dict[int, int]]:
+    """[i]: {d: least k <= n with d in divisor_set(k, s_k)} for the word
+    s = batch[i]: the literal union's entry times.
+
+    One walk over k serves every word, fetching divisor_set(k, s) once for
+    each shift s that some word reads at k.
+    """
+    maps: list[dict[int, int]] = [{} for _ in batch]
     for k in range(1, n + 1):
-        for d in divisor_set(k, shifts[k - 1]):
-            times.setdefault(d, k)
-    return times
+        column = [seq[k - 1] for seq in batch]
+        sets = {s: divisor_set(k, s) for s in set(column)}
+        for times, shift in zip(maps, column):
+            for d in sets[shift]:
+                times.setdefault(d, k)
+    return maps
 
 
 def oracle_L(shifts: SignPattern | Sequence[int], n: int) -> list[int]:
@@ -156,4 +167,4 @@ def oracle_L(shifts: SignPattern | Sequence[int], n: int) -> list[int]:
     """
     if n < 1:
         raise ValueError(f"oracle_L requires n >= 1, got {n}")
-    return sorted(_entry_times(_shift_list(shifts, n), n))
+    return sorted(_entry_times([_shift_list(shifts, n)], n)[0])

@@ -24,8 +24,9 @@ Two engines:
   monotone approach (the totient-sum error changes sign infinitely often);
 
 * the cover-based surrogate evaluates the same totient sum through the
-  pattern's progression cover and a sieve, which scales to n ~ 10^6 where
-  the exact engine cannot go.
+  pattern's progression cover and one totient sieve up to n (not 2n: an
+  odd d of L(n) is at most n, and phi(2e) comes from phi(e)), which
+  scales to n ~ 10^6 where the exact engine cannot go.
 
 Normalized ratios divide by (log a / pi^2) * n^2, so they converge to the
 pattern's growth constant.  lcm_n reaches roughly
@@ -225,26 +226,41 @@ def surrogate_series(
 ) -> list[GrowthSample]:
     """Cover-based totient-sum series; no exact lcm, so it scales far.
 
-    One sieve up to 2*n_max, rounded up to a multiple of the cover's
-    modulus M, is turned in place into prefix sums along each residue
-    class: viewed as rows of M, entry [r, t - 1] becomes the sum of phi(d)
-    over d ≡ t (mod M), d <= r*M + t.  Each sample then reads one entry
-    per cover class.
+    Every d of L(n) is at most 2n, and an odd d is at most n, as it
+    divides 2k only by dividing k <= n.  So one sieve up to n_max, rounded
+    up to a multiple of the cover's modulus M, is enough: doubling its
+    even entries in place gives psi(e) = phi(2e) for every e (phi(2e) is
+    phi(e) for odd e and 2 phi(e) for even e).  It is then turned in place
+    into prefix sums along each residue class: viewed as rows of M, entry
+    [r, t - 1] becomes the sum of psi(e) over e ≡ t (mod M),
+    e <= r*M + t.  Each sample reads one entry per odd cover class t, at
+    floor(theta_t * n); an even class t sums phi(2e) over e ≡ t/2
+    (mod M/2), so it reads the two classes t/2 and t/2 + M/2 at
+    floor(theta_t * n) // 2.
     """
     _check_growth_args(a, n_max, step)
     log_a = math.log(a)
     cover = pattern_cover(pattern)
     modulus = cover.modulus
-    phi = totient_sieve(-(-2 * n_max // modulus) * modulus)
-    sums = phi[1:].reshape(-1, modulus)
+    psi = totient_sieve(-(-n_max // modulus) * modulus)
+    psi[2::2] *= 2
+    sums = psi[1:].reshape(-1, modulus)
     sums.cumsum(axis=0, out=sums)
+
+    def class_sum(t: int, limit: int) -> int:
+        return int(sums[(limit - t) // modulus, t - 1]) if limit >= t else 0
+
     samples = []
     for n in sorted(_checkpoints(n_max, step)):
         phi_total = 0
         for t, theta in cover.slopes.items():
             limit = theta.numerator * n // theta.denominator
-            if limit >= t:
-                phi_total += int(sums[(limit - t) // modulus, t - 1])
+            if t % 2:
+                phi_total += class_sum(t, limit)
+            else:
+                half = t // 2
+                phi_total += class_sum(half, limit // 2)
+                phi_total += class_sum(half + modulus // 2, limit // 2)
         phi_sum = phi_total * log_a
         norm = log_a / math.pi**2 * n * n
         samples.append(GrowthSample(n, None, phi_sum, None, phi_sum / norm))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .cover import _cover_entry_times, _entry_times, pattern_cover
 from .cyclotomic import cyclotomic_value, divisor_set
@@ -126,33 +126,36 @@ def suite_table1() -> list[CheckResult]:
     return results
 
 
-def _cover_matches_oracle(pattern: SignPattern, n_max: int) -> tuple[bool, str]:
-    """Exact set equality cover vs oracle at every 1 <= n <= n_max.
+def _cover_matches_oracle(patterns: Sequence[SignPattern], n_max: int) -> list[tuple[bool, str]]:
+    """Exact set equality cover vs oracle at every 1 <= n <= n_max, per pattern.
 
     Both sides only grow with n, so each is fixed by its entry-time map
     {d: least n at which d joins}, and the sides agree at every n <= n_max
     iff the two maps are equal.  Otherwise they first differ at the least
-    entry time among the (d, n) pairs that only one map holds.
+    entry time among the (d, n) pairs that only one map holds.  One
+    _entry_times call builds every pattern's oracle map.
     """
-    cover = _cover_entry_times(pattern_cover(pattern), n_max)
-    oracle = _entry_times(pattern.shifts(n_max), n_max)
-    if cover == oracle:
-        return True, ""
-    n = min(k for _, k in cover.items() ^ oracle.items())
-    cover_set = {d for d, k in cover.items() if k <= n}
-    oracle_set = {d for d, k in oracle.items() if k <= n}
-    extra = sorted(cover_set - oracle_set)[:5]
-    missing = sorted(oracle_set - cover_set)[:5]
-    return False, f"n={n}: cover-only {extra}, oracle-only {missing}"
+    results = []
+    oracles = _entry_times([pattern.shifts(n_max) for pattern in patterns], n_max)
+    for pattern, oracle in zip(patterns, oracles):
+        cover = _cover_entry_times(pattern_cover(pattern), n_max)
+        if cover == oracle:
+            results.append((True, ""))
+            continue
+        n = min(k for _, k in cover.items() ^ oracle.items())
+        cover_set = {d for d, k in cover.items() if k <= n}
+        oracle_set = {d for d, k in oracle.items() if k <= n}
+        extra = sorted(cover_set - oracle_set)[:5]
+        missing = sorted(oracle_set - cover_set)[:5]
+        results.append((False, f"n={n}: cover-only {extra}, oracle-only {missing}"))
+    return results
 
 
 def suite_cover_oracle() -> list[CheckResult]:
     """Cover calculus vs brute force for all words of period <= 5, n <= 500."""
-    results = []
-    for word in all_sign_words(5):
-        ok, detail = _cover_matches_oracle(parse_pattern(word), 500)
-        results.append(CheckResult(f"cover {word} n<=500", ok, detail))
-    return results
+    words = all_sign_words(5)
+    checks = _cover_matches_oracle([parse_pattern(word) for word in words], 500)
+    return [CheckResult(f"cover {word} n<=500", *check) for word, check in zip(words, checks)]
 
 
 def suite_cyclotomic() -> list[CheckResult]:

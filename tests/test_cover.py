@@ -87,7 +87,7 @@ def test_cover_equals_oracle_small_periods():
 @example(word=[1 if bin(k).count("1") % 2 else -1 for k in range(MAX_PERIOD)])
 def test_cover_equals_oracle_random_patterns(word):
     pattern = SignPattern(tuple(word))
-    ok, detail = _cover_matches_oracle(pattern, 8 * pattern.period)
+    [(ok, detail)] = _cover_matches_oracle([pattern], 8 * pattern.period)
     assert ok, (word, detail)
     # an odd d never divides 2k without dividing k: odd residues have
     # minus-side slopes 1/j only
@@ -109,8 +109,11 @@ def test_entry_rule_equals_literal_union(seq):
     # ascending, so the buckets in order list the union by entry time
     buckets = _entry_buckets(seq)
     assert buckets[0] == [] and all(b == sorted(b) for b in buckets)
-    times = {d: k for k, bucket in enumerate(buckets) for d in bucket}
-    assert times == _entry_times(seq, len(seq))
+    # one batch with the word's complement between two copies of it: each
+    # literal map is the rule's for its own word, whatever the others read
+    batch = [seq, [-s for s in seq], seq]
+    rule = [{d: k for k, bucket in enumerate(_entry_buckets(w)) for d in bucket} for w in batch]
+    assert _entry_times(batch, len(seq)) == rule
 
 
 def first_mismatch_by_scan(cover, pattern, n_max):
@@ -141,9 +144,9 @@ def test_cover_mismatch_detail_matches_per_n_scan(monkeypatch, word, slopes):
     monkeypatch.setattr(verify, "pattern_cover", lambda p: bad)
     n, detail = first_mismatch_by_scan(bad, pattern, 60)
     assert n is not None
-    assert _cover_matches_oracle(pattern, 60) == (False, detail)
+    assert _cover_matches_oracle([pattern], 60) == [(False, detail)]
     if n > 1:
-        assert _cover_matches_oracle(pattern, n - 1) == (True, "")
+        assert _cover_matches_oracle([pattern], n - 1) == [(True, "")]
 
 
 def test_slope_ranges_and_parity():

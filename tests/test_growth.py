@@ -16,6 +16,7 @@ from cyclolcm import (
     log_big,
     oracle_L,
     parse_pattern,
+    pattern_cover,
     random_shifts,
     surrogate_series,
     totient,
@@ -333,6 +334,38 @@ def test_surrogate_matches_oracle_sum_below_the_modulus(word, data):
     step = data.draw(st.integers(1, n_max))
     a = data.draw(st.integers(2, 10))
     _assert_surrogate_is_oracle_sum(a, pattern, n_max, step)
+
+
+def _phi_totals_over_full_sieve(pattern, n_max, step):
+    """The sum of phi over L(n) at each sample, read from per-class prefix
+    sums over totient_sieve(2 * n_max) in rows of M, every d <= 2n sieved."""
+    cover = pattern_cover(pattern)
+    modulus = cover.modulus
+    phi = totient_sieve(-(-2 * n_max // modulus) * modulus)
+    sums = phi[1:].reshape(-1, modulus).cumsum(axis=0)
+    totals = []
+    for n in sorted({*range(step, n_max + 1, step), n_max}):
+        total = 0
+        for t, theta in cover.slopes.items():
+            limit = theta.numerator * n // theta.denominator
+            if limit >= t:
+                total += int(sums[(limit - t) // modulus, t - 1])
+        totals.append(total)
+    return totals
+
+
+THUE_MORSE_64 = "".join("+" if bin(k).count("1") % 2 else "-" for k in range(64))
+
+
+@pytest.mark.parametrize("n_max", [10**5, 10**5 + 7])  # 10**5 + 7 is odd: no multiple of M
+def test_surrogate_equals_full_sieve_layout_at_large_n(n_max):
+    # the sieve up to n_max, with phi(2e) read as psi(e), gives the same integers
+    patterns = [parse_pattern(w) for w in (THUE_MORSE_64, "-+-", "--+-+")]
+    patterns += [SignPattern(tuple(random_shifts(seed, 1 + 6 * seed))) for seed in range(10)]
+    for pattern in patterns:
+        samples = surrogate_series(3, pattern, n_max, 10**4)
+        totals = _phi_totals_over_full_sieve(pattern, n_max, 10**4)
+        assert [s.phi_sum for s in samples] == [t * math.log(3) for t in totals], pattern
 
 
 def test_surrogate_converges_for_all_minus():

@@ -62,6 +62,7 @@ def test_record_contract(build, field, text):
     record = build()
     assert repr(record) == text
     assert record == build() and record is not build()
+    assert hash(record) == hash(build())
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
