@@ -26,6 +26,7 @@ no class when no q exists.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -116,55 +117,68 @@ def pattern_cover(pattern: SignPattern) -> ProgressionCover:
     return ProgressionCover(2 * m, slopes)
 
 
-def _cover_entry_times(cover: ProgressionCover, x: int) -> dict[int, int]:
-    """{d: ceil(d / theta_t)} for every d of the cover evaluated at x.
+def _cover_entry_masks(covers: Sequence[ProgressionCover], x: int) -> dict[tuple[int, int], int]:
+    """{(d, ceil(d / theta_t)): mask of the covers i (bit i) holding d at x}.
 
-    d joins the cover at the least x with d <= theta_t * x, i.e.
+    d joins a cover at the least x with d <= theta_t * x, i.e.
     x = ceil(d / theta_t); membership at x is d <= floor(theta_t * x).
+    A class (modulus, t, theta) shared by several covers is walked once.
     """
-    times: dict[int, int] = {}
-    for t, theta in cover.slopes.items():
-        num, den = theta.numerator, theta.denominator
-        for d in range(t, num * x // den + 1, cover.modulus):
-            times[d] = -(-d * den // num)
-    return times
+    classes: defaultdict[tuple[int, int, int, int], int] = defaultdict(int)
+    for i, cover in enumerate(covers):
+        for t, theta in cover.slopes.items():
+            classes[cover.modulus, t, theta.numerator, theta.denominator] |= 1 << i
+    masks: defaultdict[tuple[int, int], int] = defaultdict(int)
+    for (modulus, t, num, den), mask in classes.items():
+        for d in range(t, num * x // den + 1, modulus):
+            masks[d, -(-d * den // num)] |= mask
+    return masks
 
 
 def cover_members(cover: ProgressionCover, x: int) -> list[int]:
-    """All d in the cover evaluated at x, sorted.
+    """All d in the cover evaluated at x, sorted: the d of a one-cover
+    _cover_entry_masks batch.
 
     Membership uses the exact rational comparison d <= theta * x, i.e.
     d <= floor(theta * x) since d is an integer.
     """
     if x < 1:
         raise ValueError(f"cover_members requires x >= 1, got {x}")
-    return sorted(_cover_entry_times(cover, x))
+    return sorted(d for d, _ in _cover_entry_masks([cover], x))
 
 
-def _entry_times(batch: Sequence[Sequence[int]], n: int) -> list[dict[int, int]]:
-    """[i]: {d: least k <= n with d in divisor_set(k, s_k)} for the word
-    s = batch[i]: the literal union's entry times.
+def _entry_masks(batch: Sequence[Sequence[int]], n: int) -> dict[tuple[int, int], int]:
+    """{(d, k): mask of the words i (bit i) of batch in whose literal union
+    d first enters at k}, over k <= n.
 
-    One walk over k serves every word, fetching divisor_set(k, s) once for
-    each shift s that some word reads at k.
+    One walk over k serves every word: the words reading -1 at k form one
+    mask, the rest another, and divisor_set(k, s) is fetched once for
+    each s that some word reads at k.
     """
-    maps: list[dict[int, int]] = [{} for _ in batch]
-    for k in range(1, n + 1):
-        column = [seq[k - 1] for seq in batch]
-        sets = {s: divisor_set(k, s) for s in set(column)}
-        for times, shift in zip(maps, column):
-            for d in sets[shift]:
-                times.setdefault(d, k)
-    return maps
+    every = (1 << len(batch)) - 1
+    entered = [0] * (2 * n + 1)
+    masks: dict[tuple[int, int], int] = {}
+    bit = {-1: "1", 1: "0"}.__getitem__
+    # column k holds s_k of each word, the last word first: word i is bit i
+    for k, column in zip(range(1, n + 1), zip(*reversed(batch))):
+        minus = int("".join(map(bit, column)), 2)
+        for shift, mask in ((-1, minus), (1, every ^ minus)):
+            if mask:
+                for d in divisor_set(k, shift):
+                    new = mask & ~entered[d]
+                    if new:
+                        masks[d, k] = new
+                        entered[d] |= new
+    return masks
 
 
 def oracle_L(shifts: SignPattern | Sequence[int], n: int) -> list[int]:
     """Brute-force union of divisor_set(k, s_k) for k <= n, sorted.
 
     The independent oracle for the cover calculus: no progressions, just
-    the literal definition.  Accepts a pattern or an explicit shift list
-    of length >= n.
+    the literal definition, read as the d of a one-word _entry_masks
+    batch.  Accepts a pattern or an explicit shift list of length >= n.
     """
     if n < 1:
         raise ValueError(f"oracle_L requires n >= 1, got {n}")
-    return sorted(_entry_times([_shift_list(shifts, n)], n)[0])
+    return sorted(d for d, _ in _entry_masks([_shift_list(shifts, n)], n))

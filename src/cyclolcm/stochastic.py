@@ -283,13 +283,9 @@ def monte_carlo(
     return results, _summarize(results, n)
 
 
-def exhaustive_indicator_tables(
-    n: int,
-) -> tuple[dict[int, Fraction], dict[tuple[int, int], Fraction]]:
-    """Exact E[indicator] and pairwise products by full enumeration.
-
-    Returns ({d: E[I(n,d)]}, {(d1,d2): E[I(n,d1)*I(n,d2)]}) for all
-    d, d1, d2 <= 2n, each an exact count over the 2^n words.
+def _indicator_counts(n: int) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
+    """Counts behind exhaustive_indicator_tables: ({d: #words whose union
+    holds d}, {(d1, d2): #words whose union holds both}) over the 2^n words.
 
     A set of words is an int of 2^n bits, bit w standing for word w (bit
     k-1 of w set means s_k = +1).  plus[k], the words with s_k = +1, is
@@ -316,10 +312,20 @@ def exhaustive_indicator_tables(
         for d in divisor_set(k, 1):
             member[d] |= plus
     ds = range(1, 2 * n + 1)
-    singles = {d: Fraction(member[d].bit_count(), size) for d in ds}
-    pairs = {
-        (d1, d2): Fraction((member[d1] & member[d2]).bit_count(), size)
-        for d1 in ds
-        for d2 in ds
-    }
+    singles = {d: member[d].bit_count() for d in ds}
+    pairs = {(d1, d2): (member[d1] & member[d2]).bit_count() for d1 in ds for d2 in ds}
     return singles, pairs
+
+
+def exhaustive_indicator_tables(
+    n: int,
+) -> tuple[dict[int, Fraction], dict[tuple[int, int], Fraction]]:
+    """Exact E[indicator] and pairwise products by full enumeration.
+
+    Returns ({d: E[I(n,d)]}, {(d1,d2): E[I(n,d1)*I(n,d2)]}) for all
+    d, d1, d2 <= 2n: the counts of _indicator_counts over 2^n.
+    """
+    return tuple(
+        {key: Fraction(count, 1 << n) for key, count in counts.items()}
+        for counts in _indicator_counts(n)
+    )

@@ -11,7 +11,8 @@ Four named suites, each a list of named checks that either pass or fail:
                           set equality.  Both sides only grow with n, so
                           they agree at every n <= 500 iff each d enters
                           both at the same n: the check compares the two
-                          first-entry-time maps once.
+                          first-entry-time maps once, for all 62 words in
+                          one pass with one bit per word.
 * ``cyclotomic``       -- product identities prod phi_d(a) = a^n -/+ 1
                           for n <= 200, a in {2, 3, 10}, and the pairwise
                           gcd divisibility (phi_m(a), phi_n(a)) | m for
@@ -21,19 +22,18 @@ Four named suites, each a list of named checks that either pass or fail:
                           words for n <= 12, exact rational equality.
 
 The CLI front end prints one PASS/FAIL line per check and exits nonzero
-on any failure; tests call the suite functions directly.
+on any failure; tests call the suite functions directly.  Each suite
+imports only the modules it runs.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
-from .cover import _cover_entry_times, _entry_times, pattern_cover
-from .cyclotomic import cyclotomic_value, divisor_set
-from .constants import growth_constant
-from .patterns import SignPattern, all_sign_words, parse_pattern
+if TYPE_CHECKING:  # each suite imports only the modules it runs
+    from .patterns import SignPattern
 
 __all__ = [
     "CheckResult",
@@ -111,18 +111,22 @@ REFERENCE_CONSTANTS: dict[str, Fraction] = {
 }
 
 
+def _first_failure(name: str, failures: Iterator[str]) -> CheckResult:
+    """The check `name`: failed, with the first detail of `failures`, if it yields any."""
+    detail = next(failures, "")
+    return CheckResult(name, not detail, detail)
+
+
 def suite_table1() -> list[CheckResult]:
     """Exact equality against the period <= 5 reference constants."""
+    from .constants import growth_constant
+    from .patterns import parse_pattern
+
     results = []
     for word, expected in REFERENCE_CONSTANTS.items():
         got = growth_constant(parse_pattern(word)).C
-        results.append(
-            CheckResult(
-                f"constant {word}",
-                got == expected,
-                f"expected {expected}, got {got}",
-            )
-        )
+        detail = f"expected {expected}, got {got}"
+        results.append(CheckResult(f"constant {word}", got == expected, detail))
     return results
 
 
@@ -131,28 +135,38 @@ def _cover_matches_oracle(patterns: Sequence[SignPattern], n_max: int) -> list[t
 
     Both sides only grow with n, so each is fixed by its entry-time map
     {d: least n at which d joins}, and the sides agree at every n <= n_max
-    iff the two maps are equal.  Otherwise they first differ at the least
-    entry time among the (d, n) pairs that only one map holds.  One
-    _entry_times call builds every pattern's oracle map.
+    iff the two maps are equal.  Both are built for all patterns at once,
+    as {(d, n): mask of the patterns i (bit i) in which d joins at n}; a
+    pattern fails iff its bit differs under some key.  Only a failing
+    pattern's own (d, n) pairs are read back: its sides first differ at
+    the least n among the pairs that only one side holds, and at that n
+    they differ by the d of those pairs with that n.
     """
+    from .cover import _cover_entry_masks, _entry_masks, pattern_cover
+
+    oracle = _entry_masks([pattern.shifts(n_max) for pattern in patterns], n_max)
+    cover = _cover_entry_masks([pattern_cover(pattern) for pattern in patterns], n_max)
+    failed = 0
+    for key in cover.keys() | oracle.keys():
+        failed |= cover.get(key, 0) ^ oracle.get(key, 0)
     results = []
-    oracles = _entry_times([pattern.shifts(n_max) for pattern in patterns], n_max)
-    for pattern, oracle in zip(patterns, oracles):
-        cover = _cover_entry_times(pattern_cover(pattern), n_max)
-        if cover == oracle:
+    for i in range(len(patterns)):
+        if not failed >> i & 1:
             results.append((True, ""))
             continue
-        n = min(k for _, k in cover.items() ^ oracle.items())
-        cover_set = {d for d, k in cover.items() if k <= n}
-        oracle_set = {d for d, k in oracle.items() if k <= n}
-        extra = sorted(cover_set - oracle_set)[:5]
-        missing = sorted(oracle_set - cover_set)[:5]
+        cover_i = {key for key, mask in cover.items() if mask >> i & 1}
+        oracle_i = {key for key, mask in oracle.items() if mask >> i & 1}
+        n = min(k for _, k in cover_i ^ oracle_i)
+        extra = sorted(d for d, k in cover_i - oracle_i if k == n)[:5]
+        missing = sorted(d for d, k in oracle_i - cover_i if k == n)[:5]
         results.append((False, f"n={n}: cover-only {extra}, oracle-only {missing}"))
     return results
 
 
 def suite_cover_oracle() -> list[CheckResult]:
     """Cover calculus vs brute force for all words of period <= 5, n <= 500."""
+    from .patterns import all_sign_words, parse_pattern
+
     words = all_sign_words(5)
     checks = _cover_matches_oracle([parse_pattern(word) for word in words], 500)
     return [CheckResult(f"cover {word} n<=500", *check) for word, check in zip(words, checks)]
@@ -160,6 +174,8 @@ def suite_cover_oracle() -> list[CheckResult]:
 
 def suite_cyclotomic() -> list[CheckResult]:
     """Product identities and pairwise gcd divisibility, all exact."""
+    from .cyclotomic import cyclotomic_value, divisor_set
+
     n_max, gcd_max = 200, 120
     values = {
         a: {d: cyclotomic_value(d, a) for d in range(1, 2 * n_max + 1)}
@@ -168,61 +184,43 @@ def suite_cyclotomic() -> list[CheckResult]:
     results = []
     for a in (2, 3, 10):
         for sign, label in ((-1, "a^n-1"), (1, "a^n+1")):
-            ok = True
-            detail = ""
-            for n in range(1, n_max + 1):
-                prod = math.prod(values[a][d] for d in divisor_set(n, sign))
-                if prod != a**n + sign:
-                    ok = False
-                    detail = f"first failure n={n}"
-                    break
-            results.append(
-                CheckResult(f"product {label} a={a} n<={n_max}", ok, detail)
+            failures = (
+                f"first failure n={n}"
+                for n in range(1, n_max + 1)
+                if math.prod(values[a][d] for d in divisor_set(n, sign)) != a**n + sign
             )
+            results.append(_first_failure(f"product {label} a={a} n<={n_max}", failures))
     for a in (2, 3):
-        ok = True
-        detail = ""
-        for m in range(2, gcd_max + 1):
-            for n in range(1, m):
-                if m % math.gcd(values[a][m], values[a][n]):
-                    ok = False
-                    detail = f"first failure (m, n)=({m}, {n})"
-                    break
-            if not ok:
-                break
-        results.append(
-            CheckResult(f"gcd(phi_m, phi_n) | m a={a} m<={gcd_max}", ok, detail)
+        failures = (
+            f"first failure (m, n)=({m}, {n})"
+            for m in range(2, gcd_max + 1)
+            for n in range(1, m)
+            if m % math.gcd(values[a][m], values[a][n])
         )
+        results.append(_first_failure(f"gcd(phi_m, phi_n) | m a={a} m<={gcd_max}", failures))
     return results
 
 
 def suite_stochastic_oracle() -> list[CheckResult]:
-    """Expectation formulas vs exhaustive enumeration for n <= 12, exact rationals."""
-    from .stochastic import (
-        exhaustive_indicator_tables,
-        indicator_expectation,
-        pair_expectation,
-    )
+    """Expectation formulas vs exhaustive enumeration for n <= 12, exact rationals.
 
-    results = []
-    for n in range(1, 13):
-        singles, pairs = exhaustive_indicator_tables(n)
-        ok = True
-        detail = ""
-        for d in range(1, 2 * n + 1):
-            if singles[d] != indicator_expectation(n, d):
-                ok = False
-                detail = f"single d={d}: enum {singles[d]} vs formula {indicator_expectation(n, d)}"
-                break
-        if ok:
-            for (d1, d2), enum in pairs.items():
-                formula = pair_expectation(n, d1, d2)
-                if enum != formula:
-                    ok = False
-                    detail = f"pair ({d1}, {d2}): enum {enum} vs formula {formula}"
-                    break
-        results.append(CheckResult(f"expectations n={n} all d<= {2*n}", ok, detail))
-    return results
+    A formula f matches a count c of the 2^n words iff f = c / 2^n, i.e.
+    f.numerator * 2^n == c * f.denominator: integers, no Fraction per count.
+    """
+    from .stochastic import _indicator_counts, indicator_expectation, pair_expectation
+
+    def failures(n: int) -> Iterator[str]:
+        singles, pairs = _indicator_counts(n)
+        for d, count in singles.items():
+            formula = indicator_expectation(n, d)
+            if formula.numerator << n != count * formula.denominator:
+                yield f"single d={d}: enum {Fraction(count, 1 << n)} vs formula {formula}"
+        for (d1, d2), count in pairs.items():
+            formula = pair_expectation(n, d1, d2)
+            if formula.numerator << n != count * formula.denominator:
+                yield f"pair ({d1}, {d2}): enum {Fraction(count, 1 << n)} vs formula {formula}"
+
+    return [_first_failure(f"expectations n={n} all d<= {2*n}", failures(n)) for n in range(1, 13)]
 
 
 SUITES: dict[str, Callable[[], list[CheckResult]]] = {

@@ -11,6 +11,7 @@ from cyclolcm import cli as cli_module
 from cyclolcm import verify as verify_module
 from cyclolcm.cli import TRIALS_CSV_HEADER, main
 from cyclolcm.growth import GROWTH_CSV_HEADER
+from cyclolcm.patterns import all_sign_words
 from cyclolcm.verify import CheckResult
 
 
@@ -119,8 +120,8 @@ def test_json_loads_only_where_json_is_printed(args, loads_json):
         (["constant", "--pattern", "--+"], "growth stochastic verify"),
         (["table", "--max-period", "3"], "growth stochastic verify"),
         (["verify", "--suite", "table1"], "growth stochastic"),
-        (["verify", "--suite", "cover-oracle"], "growth stochastic"),
-        (["verify", "--suite", "cyclotomic"], "growth stochastic"),
+        (["verify", "--suite", "cover-oracle"], "growth stochastic constants"),
+        (["verify", "--suite", "cyclotomic"], "growth stochastic cover constants patterns"),
         (["growth", "--exact", "--base", "3", "--pattern", "-+-", "--n-max", "60",
           "--step", "20"], "stochastic verify"),
         (["growth", "--base", "2", "--pattern", "-+", "--n-max", "200", "--step", "50"],
@@ -323,7 +324,9 @@ def test_verify_other_suites_pass(suite):
     assert out.returncode == 0
     assert all(line.startswith("PASS") for line in out.stdout.strip().split("\n"))
     if suite == "cover-oracle":
-        assert len(out.stdout.strip().split("\n")) == 62
+        # byte for byte: one line per word of period <= 5, in order
+        assert out.stdout == "".join(f"PASS cover {word} n<=500\n" for word in all_sign_words(5))
+        assert out.stderr == "62/62 checks passed\n"
 
 
 def test_verify_failure_exits_two(monkeypatch, capsys):

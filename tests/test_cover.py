@@ -14,8 +14,7 @@ from cyclolcm import (
     parse_pattern,
     pattern_cover,
 )
-from cyclolcm import verify
-from cyclolcm.cover import _entry_buckets, _entry_times
+from cyclolcm.cover import _entry_buckets, _entry_masks
 from cyclolcm.patterns import MAX_PERIOD, SignPattern
 from cyclolcm.verify import _cover_matches_oracle
 
@@ -112,8 +111,11 @@ def test_entry_rule_equals_literal_union(seq):
     # one batch with the word's complement between two copies of it: each
     # literal map is the rule's for its own word, whatever the others read
     batch = [seq, [-s for s in seq], seq]
+    masks = _entry_masks(batch, len(seq))
+    literal = [{d: k for (d, k), mask in masks.items() if mask >> i & 1} for i in range(3)]
     rule = [{d: k for k, bucket in enumerate(_entry_buckets(w)) for d in bucket} for w in batch]
-    assert _entry_times(batch, len(seq)) == rule
+    assert literal[0] == literal[2]
+    assert literal == rule
 
 
 def first_mismatch_by_scan(cover, pattern, n_max):
@@ -141,12 +143,34 @@ def test_cover_mismatch_detail_matches_per_n_scan(monkeypatch, word, slopes):
     pattern = parse_pattern(word)
     bad = ProgressionCover(2 * pattern.period, slopes)
     assert bad != pattern_cover(pattern)
-    monkeypatch.setattr(verify, "pattern_cover", lambda p: bad)
+    monkeypatch.setattr("cyclolcm.cover.pattern_cover", lambda p: bad)
     n, detail = first_mismatch_by_scan(bad, pattern, 60)
     assert n is not None
     assert _cover_matches_oracle([pattern], 60) == [(False, detail)]
     if n > 1:
         assert _cover_matches_oracle([pattern], n - 1) == [(True, "")]
+
+
+BATCH_WORDS = ["-", "--", "-+", "-+-+", "--+"]
+
+
+@pytest.mark.parametrize("broken", BATCH_WORDS)
+def test_cover_mismatch_in_a_batch_reports_only_its_pattern(monkeypatch, broken):
+    # a repeated word has the union of a shorter one, and covers of one
+    # modulus share classes (-- and -+ both hold (4, 1, 1)): only the
+    # broken pattern's bit may fail
+    patterns = [parse_pattern(word) for word in BATCH_WORDS]
+    target = parse_pattern(broken)
+    good = pattern_cover(target)
+    t, theta = min(good.slopes.items())
+    bad = good._replace(slopes={**good.slopes, t: theta / 2})  # a slope lowered
+    monkeypatch.setattr(
+        "cyclolcm.cover.pattern_cover", lambda p: bad if p == target else pattern_cover(p)
+    )
+    n, detail = first_mismatch_by_scan(bad, target, 60)
+    assert n is not None
+    expected = [(False, detail) if p == target else (True, "") for p in patterns]
+    assert _cover_matches_oracle(patterns, 60) == expected
 
 
 def test_slope_ranges_and_parity():

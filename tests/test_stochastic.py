@@ -90,6 +90,29 @@ def test_pair_matches_enumeration_exhaustively():
             assert enum == pair_expectation(n, d1, d2), (n, d1, d2)
 
 
+@pytest.mark.parametrize("formula", ["indicator_expectation", "pair_expectation"])
+def test_stochastic_oracle_detail_names_the_wrong_formula(monkeypatch, formula):
+    from cyclolcm.verify import suite_stochastic_oracle
+
+    # one value off at n = 5 only: d = 3 (single) or (d1, d2) = (3, 4) (pair)
+    right = getattr(stochastic, formula)
+    key = (5, 3) if formula == "indicator_expectation" else (5, 3, 4)
+    wrong = right(*key) + Fraction(1, 64)
+    monkeypatch.setattr(stochastic, formula, lambda *a: wrong if a == key else right(*a))
+    singles, pairs = exhaustive_indicator_tables(5)
+    if formula == "indicator_expectation":
+        detail = f"single d=3: enum {singles[3]} vs formula {wrong}"
+    else:
+        detail = f"pair (3, 4): enum {pairs[3, 4]} vs formula {wrong}"
+    assert detail in ("single d=3: enum 1/2 vs formula 33/64",
+                      "pair (3, 4): enum 3/8 vs formula 25/64")
+    results = suite_stochastic_oracle()
+    assert [(r.ok, r.detail) for r in results] == [
+        (n != 5, "" if n != 5 else detail) for n in range(1, 13)
+    ]
+    assert results[4].name == "expectations n=5 all d<= 10"
+
+
 def test_bitset_tables_match_union_kernel():
     # the tables count words with int bitsets; the Monte Carlo kernel's
     # rows over all 2^n words must give the same single and pair counts
