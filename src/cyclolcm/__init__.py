@@ -27,7 +27,7 @@ _HOME = {
         "growth": "GrowthSample exact_log_lcm_series surrogate_series convergence_report "
         "write_growth_csv",
         "stochastic": "TrialResult indicator_expectation pair_expectation expected_X "
-        "variance_bound gcd_pair_sum monte_carlo",
+        "variance_bound monte_carlo",
     }.items()
     for name in names.split()
 }

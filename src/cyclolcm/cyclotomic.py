@@ -9,16 +9,15 @@ a^n + s for a shift s in {-1, +1} is
 
 so that a^n + s factors over it as a product of cyclotomic values.
 
-Factorizations are obtained by trial division and memoized in a module
-cache, and divisor lists and the s = +1 divisor sets likewise (stored as
-tuples, handed out as fresh lists, so no caller can change the cache);
-the caches are only ever appended to under the GIL, so concurrent callers
-see the same results as serial ones.
+Factorizations come from trial division.  They and the sorted divisor
+tuples are memoised with functools.cache, as both are read again for the
+same n; `divisors` and `divisor_set` hand out fresh lists.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # at run time numpy loads only in the functions that build arrays
@@ -33,16 +32,12 @@ __all__ = [
 ]
 
 
-_factor_cache: dict[int, dict[int, int]] = {}
-
-
+@cache
 def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization {p: exponent} by cached trial division."""
+    """Prime factorization {p: exponent} by memoised trial division; every
+    caller gets the same dict for the same n, to read and never change."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
-    cached = _factor_cache.get(n)
-    if cached is not None:
-        return cached
     m = n
     fac: dict[int, int] = {}
     for p in (2, 3):
@@ -57,7 +52,6 @@ def _factorize(n: int) -> dict[int, int]:
         p += 2 if p % 6 == 5 else 4  # skip multiples of 2 and 3
     if m > 1:
         fac[m] = fac.get(m, 0) + 1
-    _factor_cache[n] = fac
     return fac
 
 
@@ -135,37 +129,35 @@ def totient_sieve(limit: int) -> np.ndarray:
     return phi
 
 
-_divisor_cache: dict[int, tuple[int, ...]] = {}
-_plus_set_cache: dict[int, tuple[int, ...]] = {}
+@cache
+def _divisor_tuple(n: int) -> tuple[int, ...]:
+    """Sorted positive divisors of n, memoised."""
+    divs = [1]
+    for p, e in _factorize(n).items():
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return tuple(sorted(divs))
 
 
 def divisors(n: int) -> list[int]:
-    """Sorted list of positive divisors of n (a fresh list from the cache)."""
-    cached = _divisor_cache.get(n)
-    if cached is None:
-        divs = [1]
-        for p, e in _factorize(n).items():
-            divs = [d * p**k for d in divs for k in range(e + 1)]
-        cached = _divisor_cache[n] = tuple(sorted(divs))
-    return list(cached)
+    """Sorted list of positive divisors of n (a fresh list)."""
+    return list(_divisor_tuple(n))
 
 
 def divisor_set(k: int, shift: int) -> list[int]:
     """Sorted divisor set D_k of the shifted power a^k + shift.
 
     shift = -1 gives the divisors of k; shift = +1 gives the divisors of
-    2k that do not divide k.  Any other shift raises ValueError.
+    2k that do not divide k, that is 2^(v+1) times each divisor of k / 2^v
+    with v = v_2(k).  A shift other than the int -1 or +1 raises ValueError.
     """
     if k < 1:
         raise ValueError(f"divisor_set requires k >= 1, got {k}")
+    if type(shift) is not int or shift not in (-1, 1):
+        raise ValueError(f"shift must be -1 or +1, got {shift}")
     if shift == -1:
         return divisors(k)
-    if shift == 1:
-        cached = _plus_set_cache.get(k)
-        if cached is None:
-            cached = _plus_set_cache[k] = tuple(d for d in divisors(2 * k) if k % d)
-        return list(cached)
-    raise ValueError(f"shift must be -1 or +1, got {shift}")
+    v = (k & -k).bit_length() - 1
+    return [d << (v + 1) for d in _divisor_tuple(k >> v)]
 
 
 def cyclotomic_value(n: int, a: int) -> int:

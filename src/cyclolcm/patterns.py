@@ -79,8 +79,7 @@ class SignPattern(_SignPatternFields):
 
     def shifts(self, n: int) -> list[int]:
         """First n shifts s_1..s_n."""
-        word, m = self.word, len(self.word)
-        return [word[k % m] for k in range(n)]
+        return list(itertools.islice(itertools.cycle(self.word), n))
 
     def __str__(self) -> str:
         return "".join("+" if s == 1 else "-" for s in self.word)

