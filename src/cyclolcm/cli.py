@@ -53,18 +53,14 @@ class _Parser(argparse.ArgumentParser):
         return super()._get_values(action, arg_strings)
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _parse_seed(text: str) -> int:
     # ASCII digits only: int() would also take "1_000", " 5", "+5" and
     # non-ASCII digits
     if not re.fullmatch(r"[0-9]+|0x[0-9a-fA-F]+", text):
-        raise UsageError(f"seed must be decimal or 0x-hex, got {text!r}")
+        raise ValueError(f"seed must be decimal or 0x-hex, got {text!r}")
     value = int(text, 16) if text.startswith("0x") else int(text)
     if not 0 <= value < 1 << 64:
-        raise UsageError(f"seed must fit in 64 bits, got {text}")
+        raise ValueError(f"seed must fit in 64 bits, got {text}")
     return value
 
 
@@ -88,8 +84,6 @@ def cmd_table(args) -> int:
     from .constants import growth_constant
     from .patterns import all_sign_words, parse_pattern
 
-    if not 1 <= args.max_period <= 8:
-        raise UsageError(f"--max-period must be in 1..8, got {args.max_period}")
     rows = [
         (word, growth_constant(parse_pattern(word)).C)
         for word in all_sign_words(args.max_period)
@@ -112,24 +106,20 @@ def cmd_table(args) -> int:
 
 def cmd_growth(args) -> int:
     from .constants import growth_constant, random_model_constant
-    from .growth import EXACT_ENGINE_CAP, exact_log_lcm_series, surrogate_series, write_growth_csv
+    from .growth import EXACT_ENGINE_CAP, _check_growth_args, exact_log_lcm_series
+    from .growth import surrogate_series, write_growth_csv
     from .patterns import parse_pattern, random_shifts
 
-    if args.base < 2:
-        raise UsageError(f"--base must be >= 2, got {args.base}")
-    if args.n_max < 1 or args.step < 1:
-        raise UsageError("--n-max and --step must be >= 1")
-    if (args.pattern is None) == (not args.random):
-        raise UsageError("give exactly one of --pattern or --random")
+    _check_growth_args(args.base, args.n_max, args.step)
     if args.n_max > EXACT_ENGINE_CAP and args.exact and not args.force_exact:
-        raise UsageError(
+        raise ValueError(
             f"exact engine capped at n <= {EXACT_ENGINE_CAP}; pass "
             "--force-exact to override or drop --exact"
         )
     if args.random and not args.exact:
-        raise UsageError("--random requires --exact (no cover for random shifts)")
+        raise ValueError("--random requires --exact (no cover for random shifts)")
     if args.force_exact and not args.exact:
-        raise UsageError("--force-exact requires --exact")
+        raise ValueError("--force-exact requires --exact")
     seed = _parse_seed(args.seed)
     if args.random:
         shifts = random_shifts(seed, args.n_max)
@@ -159,8 +149,6 @@ def cmd_random(args) -> int:
 
     from .stochastic import monte_carlo
 
-    if args.n < 1 or args.trials < 1:
-        raise UsageError("--n and --trials must be >= 1")
     results, summary = monte_carlo(args.n, args.trials, _parse_seed(args.seed))
     if args.format == "json":
         obj = {
@@ -186,11 +174,9 @@ def cmd_random(args) -> int:
 def cmd_expect(args) -> int:
     from .stochastic import EXACT_EXPECTATION_CAP, expected_X
 
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
     if args.exact:
         if args.n > EXACT_EXPECTATION_CAP:
-            raise UsageError(
+            raise ValueError(
                 f"--exact limited to n <= {EXACT_EXPECTATION_CAP}; drop --exact "
                 "for the float evaluation"
             )
@@ -206,7 +192,7 @@ def cmd_verify(args) -> int:
 
     suite = SUITES.get(args.suite)
     if suite is None:
-        raise UsageError(
+        raise ValueError(
             f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}"
         )
     results = suite()
@@ -237,18 +223,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_constant)
 
     p = sub.add_parser("table", help="constants for all words up to a period")
-    p.add_argument("--max-period", type=int, required=True)
+    p.add_argument(
+        "--max-period", type=int, choices=range(1, 9), required=True, metavar="MAX_PERIOD"
+    )
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("growth", help="empirical growth series as CSV")
     p.add_argument("--base", type=int, required=True)
-    p.add_argument("--pattern", default=None)
+    shifts = p.add_mutually_exclusive_group(required=True)
+    shifts.add_argument("--pattern")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--exact", action="store_true", help="run the exact lcm engine")
     p.add_argument("--force-exact", action="store_true", help="lift the exact-engine cap")
-    p.add_argument("--random", action="store_true", help="random shifts instead of a pattern")
+    shifts.add_argument("--random", action="store_true", help="random shifts instead of a pattern")
     p.add_argument("--seed", default=str(DEFAULT_SEED), help="decimal or 0x-hex")
     p.set_defaults(func=cmd_growth)
 
@@ -294,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_merge_pattern_values(list(sys.argv[1:] if argv is None else argv)))
     try:
         return args.func(args)
-    except ValueError as exc:  # UsageError included
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -170,6 +170,8 @@ def cyclotomic_value(n: int, a: int) -> int:
     """
     if n < 1:
         raise ValueError(f"cyclotomic_value requires n >= 1, got {n}")
+    if type(a) is not int:
+        raise ValueError(f"cyclotomic_value requires an int a, got {a!r}")
     if a <= 1:
         raise ValueError(f"cyclotomic_value requires a >= 2, got {a}")
     squarefree = [(1, 1)]  # (d, mu(d))

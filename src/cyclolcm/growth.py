@@ -118,6 +118,8 @@ class ConvergenceReport(NamedTuple):
 
 
 def _check_growth_args(a: int, n_max: int, step: int) -> None:
+    if type(a) is not int:
+        raise ValueError(f"base a must be an int, got {a!r}")
     if a < 2:
         raise ValueError(f"base a must be >= 2, got {a}")
     if n_max < 1:
@@ -140,9 +142,10 @@ def _lcm_enclosures(
     union already carries the largest power of p.  The power of two is
     taken straight from its definition.
 
-    Step k multiplies the exact odd parts of the entering Phi_d(a) into
-    lo and hi, then floors lo and ceils hi to at most bits bits (exp
-    counts the bits dropped, plus M_2(k)).
+    Step k multiplies the odd part of the product of the entering
+    Phi_d(a), which is the product of their odd parts, into lo and hi,
+    then floors lo and ceils hi to at most bits bits (exp counts the bits
+    dropped, plus M_2(k)).
     """
     lo = hi = 1
     dropped = 0  # bits cut from lo and hi
@@ -151,11 +154,10 @@ def _lcm_enclosures(
     for k, shift in enumerate(seq, 1):
         power *= a
         m2 = max(m2, valuation(2, power + shift))
-        for d in entering[k]:
-            value = cyclotomic_value(d, a)
-            value >>= valuation(2, value)
-            lo *= value
-            hi *= value
+        part = math.prod(cyclotomic_value(d, a) for d in entering[k])
+        part >>= valuation(2, part)
+        lo *= part
+        hi *= part
         cut = max(hi.bit_length() - bits, 0)
         lo >>= cut
         hi = -(-hi >> cut)

@@ -138,17 +138,15 @@ def expected_X(n: int, mode: str = "exact") -> Fraction | float:
         # cumsum adds left to right, as a Python loop would; np.sum is
         # pairwise and may differ in the last bit.
         return float(np.cumsum(terms)[-1])
-    # Group by exponent so the Fraction sum has one shared denominator.
-    phi_by_exp: dict[int, int] = {}
+    # The exponent is n at d = 1 and d = 2 and below n elsewhere, so 2^n is
+    # the one shared denominator.
     phi_total = 0
+    numerator = 0
     for d in range(1, 2 * n + 1):
-        e = _floor_exponent(n, d)
         phi_d = totient(d)
-        phi_by_exp[e] = phi_by_exp.get(e, 0) + phi_d
         phi_total += phi_d
-    emax = max(phi_by_exp)
-    numerator = sum(w << (emax - e) for e, w in phi_by_exp.items())
-    return phi_total - Fraction(numerator, 1 << emax)
+        numerator += phi_d << (n - _floor_exponent(n, d))
+    return phi_total - Fraction(numerator, 1 << n)
 
 
 def _coprime_pairs_upto(limit: int):
@@ -244,12 +242,12 @@ def monte_carlo(
     reproducible bit-for-bit whatever the batching (see MC_BLOCK_CELLS).
     X and the normalized ratio pi^2 * X / n^2 do not depend on the base a.
     """
+    if n < 1 or trials < 1:
+        raise ValueError(f"n and trials must be >= 1, got ({n}, {trials})")
     import numpy as np
 
     from .patterns import _MASK64, _plus_rows, subseed
 
-    if n < 1 or trials < 1:
-        raise ValueError(f"n and trials must be >= 1, got ({n}, {trials})")
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
     phi = totient_sieve(2 * n)

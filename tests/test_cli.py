@@ -230,6 +230,57 @@ def test_growth_usage_errors():
     assert run_cli("growth", "--base", "2", "--n-max", "10").returncode == 1
 
 
+# Each refusal exits 1, prints nothing on stdout and names its value on stderr.
+REFUSALS = {
+    "growth-step-0": (
+        ["growth", "--base", "2", "--pattern", "-", "--n-max", "10", "--step", "0"],
+        "step must be >= 1, got 0",
+    ),
+    "growth-n-max-0": (
+        ["growth", "--base", "2", "--pattern", "-", "--n-max", "0"],
+        "n_max must be >= 1, got 0",
+    ),
+    "growth-pattern-and-random": (
+        ["growth", "--base", "2", "--pattern", "-", "--random", "--n-max", "10", "--exact"],
+        "argument --random: not allowed with argument --pattern",
+    ),
+    "random-n-0": (["random", "--n", "0", "--trials", "3"], "got (0, 3)"),
+    "random-trials-0": (["random", "--n", "3", "--trials", "0"], "got (3, 0)"),
+    "expect-n-0": (["expect", "--n", "0"], "n >= 1, got 0"),
+    "expect-exact-n-0": (["expect", "--n", "0", "--exact"], "n >= 1, got 0"),
+    "table-max-period-0": (["table", "--max-period", "0"], "invalid choice: 0"),
+    "table-max-period-9": (["table", "--max-period", "9"], "invalid choice: 9"),
+}
+
+
+def exit_code(argv):
+    # argparse's refusals raise SystemExit; a command's ValueError returns 1
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, named", REFUSALS.values(), ids=list(REFUSALS))
+def test_refusals_exit_one_and_name_the_value(argv, named, capsys):
+    assert exit_code(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+
+
+def test_growth_refuses_bad_base_before_drawing_shifts(monkeypatch, capsys):
+    # the base is refused before random_shifts could draw a billion shifts
+    def refuse(*args):
+        raise AssertionError("random_shifts called")
+
+    monkeypatch.setattr("cyclolcm.patterns.random_shifts", refuse)
+    argv = ["growth", "--base", "1", "--random", "--exact", "--force-exact",
+            "--n-max", "1000000000"]
+    assert main(argv) == 1
+    assert "must be >= 2, got 1" in capsys.readouterr().err
+
+
 def test_growth_force_exact_requires_exact(capsys):
     # without --exact the flag would be ignored and the surrogate would run
     argv = ["growth", "--base", "2", "--pattern", "-", "--n-max", "10", "--force-exact"]

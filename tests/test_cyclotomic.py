@@ -229,6 +229,9 @@ def test_cyclotomic_value_examples():
     assert prod == 63
     with pytest.raises(ValueError):
         cyclotomic_value(6, 1)
+    for a in (2.0, 2.5):
+        with pytest.raises(ValueError, match="requires an int a"):
+            cyclotomic_value(3, a)
 
 
 def test_cyclotomic_value_matches_polynomial_evaluation():

@@ -80,6 +80,9 @@ def test_exact_series_validation():
         ((2, 0), "n_max must be >= 1, got 0"),
         ((2, -3), "n_max must be >= 1, got -3"),
         ((2, 5, 0), "step must be >= 1, got 0"),
+        # a base that is not an int, even one equal to an int
+        ((2.0, 5), "base a must be an int, got 2.0"),
+        ((2.5, 5), "base a must be an int, got 2.5"),
     ]
     for engine in (exact_log_lcm_series, surrogate_series):
         for (a, *rest), message in cases:
