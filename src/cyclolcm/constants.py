@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .cover import ProgressionCover, pattern_cover
 from .cyclotomic import _factorize
 from .patterns import SignPattern
+
+if TYPE_CHECKING:  # `random` reads only random_model_constant, so cover loads on use
+    from .cover import ProgressionCover
 
 __all__ = [
     "GrowthConstant",
@@ -56,6 +58,8 @@ def growth_constant(pattern: SignPattern) -> GrowthConstant:
     constant inherits whatever trust the oracle-tested cover has; no
     per-pattern shortcuts.  The value does not depend on the base a.
     """
+    from .cover import pattern_cover
+
     cover = pattern_cover(pattern)
     modulus = cover.modulus
     primes = list(_factorize(modulus))

@@ -57,6 +57,8 @@ def _factorize(n: int) -> dict[int, int]:
 
 def totient(n: int) -> int:
     """Euler's phi: count of 1 <= k <= n coprime to n."""
+    if type(n) is not int:
+        raise ValueError(f"totient requires an int n, got {n!r}")
     if n < 1:
         raise ValueError(f"totient requires n >= 1, got {n}")
     result = n
@@ -168,6 +170,8 @@ def cyclotomic_value(n: int, a: int) -> int:
     is exact and there is no coefficient blowup.  Only the 2^omega(n)
     squarefree d contribute, with mu(d) = (-1)^(number of primes of d).
     """
+    if type(n) is not int:
+        raise ValueError(f"cyclotomic_value requires an int n, got {n!r}")
     if n < 1:
         raise ValueError(f"cyclotomic_value requires n >= 1, got {n}")
     if type(a) is not int:

@@ -120,6 +120,8 @@ def expected_X(n: int, mode: str = "exact") -> Fraction | float:
     2^n, hence the cap) and takes each phi(d) from totient(d), building no
     array; mode="float" sums in float64 over a sieve and scales to any n.
     """
+    if type(n) is not int:
+        raise ValueError(f"expected_X requires an int n, got {n!r}")
     if n < 1:
         raise ValueError(f"expected_X requires n >= 1, got {n}")
     if mode not in ("exact", "float"):
@@ -134,7 +136,11 @@ def expected_X(n: int, mode: str = "exact") -> Fraction | float:
 
         phi = totient_sieve(2 * n)
         d = np.arange(1, 2 * n + 1)
-        terms = phi[1:] * (1.0 - np.ldexp(1.0, -(n * np.gcd(2, d) // d)))
+        # [d - 1]: floor(n*gcd(2,d)/d), that is n // d for odd d and 2n // d for even d
+        exponent = np.empty(2 * n, dtype=np.int64)
+        np.floor_divide(n, d[::2], out=exponent[::2])
+        np.floor_divide(2 * n, d[1::2], out=exponent[1::2])
+        terms = phi[1:] * (1.0 - np.ldexp(1.0, -exponent))
         # cumsum adds left to right, as a Python loop would; np.sum is
         # pairwise and may differ in the last bit.
         return float(np.cumsum(terms)[-1])
@@ -242,6 +248,8 @@ def monte_carlo(
     reproducible bit-for-bit whatever the batching (see MC_BLOCK_CELLS).
     X and the normalized ratio pi^2 * X / n^2 do not depend on the base a.
     """
+    if type(n) is not int or type(trials) is not int:
+        raise ValueError(f"n and trials must be ints, got ({n!r}, {trials!r})")
     if n < 1 or trials < 1:
         raise ValueError(f"n and trials must be >= 1, got ({n}, {trials})")
     import numpy as np

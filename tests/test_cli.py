@@ -127,7 +127,7 @@ def test_json_loads_only_where_json_is_printed(args, loads_json):
           "--step", "20"], "stochastic verify"),
         (["growth", "--base", "2", "--pattern", "-+", "--n-max", "200", "--step", "50"],
          "stochastic verify"),
-        (["random", "--n", "50", "--trials", "2"], "growth verify"),
+        (["random", "--n", "50", "--trials", "2"], "growth verify cover"),
         (["expect", "--n", "50", "--exact"], "growth verify constants cover patterns"),
         (["expect", "--n", "50"], "growth verify constants cover patterns"),
     ],

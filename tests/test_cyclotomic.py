@@ -33,6 +33,9 @@ def test_totient_examples():
     assert totient(10) == 4
     with pytest.raises(ValueError):
         totient(0)
+    for n in (6.0, True):
+        with pytest.raises(ValueError, match="totient requires an int n"):
+            totient(n)
 
 
 def test_totient_against_brute_count():
@@ -232,6 +235,9 @@ def test_cyclotomic_value_examples():
     for a in (2.0, 2.5):
         with pytest.raises(ValueError, match="requires an int a"):
             cyclotomic_value(3, a)
+    for n in (6.0, True):
+        with pytest.raises(ValueError, match="requires an int n"):
+            cyclotomic_value(n, 2)
 
 
 def test_cyclotomic_value_matches_polynomial_evaluation():

@@ -83,6 +83,11 @@ def test_exact_series_validation():
         # a base that is not an int, even one equal to an int
         ((2.0, 5), "base a must be an int, got 2.0"),
         ((2.5, 5), "base a must be an int, got 2.5"),
+        # n_max and step must be ints too, bool included
+        ((2, 4.0), "n_max must be an int, got 4.0"),
+        ((2, 4.5, 2), "n_max must be an int, got 4.5"),
+        ((2, True), "n_max must be an int, got True"),
+        ((2, 5, 2.0), "step must be an int, got 2.0"),
     ]
     for engine in (exact_log_lcm_series, surrogate_series):
         for (a, *rest), message in cases:
@@ -369,6 +374,26 @@ def test_surrogate_equals_full_sieve_layout_at_large_n(n_max):
         samples = surrogate_series(3, pattern, n_max, 10**4)
         totals = _phi_totals_over_full_sieve(pattern, n_max, 10**4)
         assert [s.phi_sum for s in samples] == [t * math.log(3) for t in totals], pattern
+
+
+# (word, cover modulus M): a wide row holds many, two or one rows of M
+READ_PATH_WORDS = [("-", 2), ("+", 2), ("-+", 4), ("-++", 6), ("--+-+-++", 16),
+                   (THUE_MORSE_64[:63], 126), (THUE_MORSE_64, 128)]
+
+
+@pytest.mark.parametrize("word, modulus", READ_PATH_WORDS)
+@pytest.mark.parametrize("n_max", [1, 2, 127, 128, 129, 2999, 3001])
+@pytest.mark.parametrize("step", [1, 7])
+def test_surrogate_read_path_equals_full_sieve_layout(word, modulus, n_max, step):
+    # n_max below, at and just past the row width, and samples over more
+    # than one batch of reads at n_max near 3000
+    pattern = parse_pattern(word)
+    assert pattern_cover(pattern).modulus == modulus
+    samples = surrogate_series(2, pattern, n_max, step)
+    totals = _phi_totals_over_full_sieve(pattern, n_max, step)
+    assert [s.phi_sum for s in samples] == [t * LN2 for t in totals]
+    if n_max > 2000:
+        assert len(samples) > growth._ROW_WIDTH
 
 
 def test_surrogate_converges_for_all_minus():

@@ -150,9 +150,10 @@ def test_expected_x_small_values():
 
 
 def test_expected_x_float_is_left_to_right_sum():
-    # the float sum must keep the bits of a sequential loop over d; at
-    # n = 2720 and 3388 a pairwise sum differs in the last bit
-    for n in (1, 7, 1000, 2720, 3388, 12345):
+    # the float sum must keep the bits of a sequential loop over d, at
+    # every n <= 300 and beyond; at n = 2720 and 3388 a pairwise sum
+    # differs in the last bit
+    for n in (*range(1, 301), 1000, 2720, 3388, 12345):
         total = 0.0
         for d in range(1, 2 * n + 1):
             total += float(totient(d)) * (1.0 - 2.0 ** -(n * math.gcd(2, d) // d))
@@ -162,6 +163,9 @@ def test_expected_x_float_is_left_to_right_sum():
 def test_expected_x_validation():
     with pytest.raises(ValueError):
         expected_X(0)
+    for n in (True, 3.0):
+        with pytest.raises(ValueError, match="expected_X requires an int n"):
+            expected_X(n)
     with pytest.raises(ValueError):
         expected_X(10, "fancy")
     with pytest.raises(ValueError, match="exact mode limited"):
@@ -351,6 +355,9 @@ def test_monte_carlo_validation():
         monte_carlo(0, 5, 0)
     with pytest.raises(ValueError):
         monte_carlo(10, 0, 0)
+    for n, trials in ((10.0, 2), (10, 2.0), (True, 2)):
+        with pytest.raises(ValueError, match="n and trials must be ints"):
+            monte_carlo(n, trials, 1)
 
 
 def test_monte_carlo_rejects_seeds_outside_64_bits():
