@@ -89,11 +89,10 @@ _ENCLOSURE_BITS = 128
 # infinitely often, so nothing makes |ratio - C| shrink at every checkpoint.
 ENVELOPE_K = math.pi**2
 
-# Narrowest row, in entries, of the surrogate's class table: numpy's
-# row-major sum(axis=0) costs several times more per entry over narrower
-# rows (about 5 ms per 10^6 int64 at 4 columns, 0.6 ms at 128).  It is also
-# the number of samples the surrogate answers in one gather.
-_ROW_WIDTH = 128
+# Reads (one per sample and cover class) the surrogate answers in one numpy
+# gather: it takes max(1, _GATHER_READS // reads per sample) samples at a
+# time, so its temporaries grow with neither the sample count nor n.
+_GATHER_READS = 1 << 14
 
 GROWTH_CSV_HEADER = "n,log_lcm,phi_sum,ratio_exact,ratio_surrogate"
 
@@ -239,34 +238,29 @@ def surrogate_series(
     """Cover-based totient-sum series; no exact lcm, so it scales far.
 
     Every d of L(n) is at most 2n, and an odd d is at most n, as it
-    divides 2k only by dividing k <= n.  So one sieve up to about n_max is
-    enough: phi(2e) is phi(e) for odd e and 2 phi(e) for even e.  An odd
-    cover class t sums phi(e) over e ≡ t (mod M), e <= floor(theta_t * n);
-    an even class t sums phi(2e) over e ≡ t/2 (mod M/2), so it reads the
-    two classes t/2 and t/2 + M/2 up to floor(theta_t * n) // 2.  Every e
-    of class c has the parity of c, so a read of class c sums phi over
-    the class with the weight 2 when c is even.
+    divides 2k only by dividing k <= n.  So one sieve up to n_max, rounded
+    up to a multiple of the cover's modulus M, is enough: phi(2e) is phi(e)
+    for odd e and 2 phi(e) for even e.  The sieve is turned in place into
+    prefix sums along each residue class: viewed as rows of M, entry
+    [r, c - 1] becomes the sum of phi(e) over e ≡ c (mod M), e <= r*M + c.
+    An odd cover class t sums phi(e) over e ≡ t (mod M) up to
+    floor(theta_t * n); an even class t sums phi(2e) over e ≡ t/2
+    (mod M/2), so it reads the two classes t/2 and t/2 + M/2 up to
+    floor(theta_t * n) // 2.  Every e of class c has the parity of c (M is
+    even), so a read of class c takes the weight 2 when c is even.
 
-    The sieve, its limit rounded up to a whole row, is read as a table of
-    wide rows of `width` entries, the least multiple of M that is at least
-    _ROW_WIDTH: entry e sits at [(e - 1) // width, (e - 1) % width], so
-    column j holds class j % M + 1.  Seen as narrow rows of M, a read of
-    class c up to `limit` is the weighted sum of column c - 1 over the
-    first (limit - c) // M + 1 narrow rows: a row count, a column and a
-    weight.  The per-class prefix sums are built only at the wide rows
-    some count ends in: one running row-major sum over the wide rows
-    between them, plus a cumsum over the narrow rows inside each of them
-    for the head of a count that ends mid-row.  The samples are answered
-    _ROW_WIDTH at a time with one gather each, so no array grows with
-    samples times classes.
+    Each read of class c up to `limit` is the prefix over the first
+    (limit - c) // M + 1 rows of column c - 1 (none when limit < c): a row
+    count, a column and a weight.  The counts of many samples are one
+    floor division, and their entries one gather, _GATHER_READS reads at a
+    time.
     """
     _check_growth_args(a, n_max, step)
     log_a = math.log(a)
     cover = pattern_cover(pattern)
     modulus = cover.modulus
-    width = -(-_ROW_WIDTH // modulus) * modulus
-    group = width // modulus  # narrow rows of M per wide row
-    table = totient_sieve(-(-n_max // width) * width)[1:].reshape(-1, width)
+    sums = totient_sieve(-(-n_max // modulus) * modulus)[1:].reshape(-1, modulus)
+    sums.cumsum(axis=0, out=sums)
     import numpy as np  # loaded by the sieve, so a traced run charges the import there
 
     # (numerator, denominator, c) of each read: it sums class c up to
@@ -280,46 +274,22 @@ def surrogate_series(
                 reads.append((theta.numerator, 2 * theta.denominator, c))
     numerator, denominator, column = np.array(reads, dtype=np.int64).T
     column -= 1
-    # the row count (limit - c) // M + 1 (0 when limit < c) as one floor
+    weight = 1 + column % 2
+    # the row count (limit - c) // M + 1, or 0 when limit < c, as one floor
     # division, since limit is itself a quotient
     offset = (modulus - 1 - column) * denominator
     denominator *= modulus
     ns = sorted(_checkpoints(n_max, step))
-    batches = [
-        np.array(ns[lo : lo + _ROW_WIDTH], dtype=np.int64)
-        for lo in range(0, len(ns), _ROW_WIDTH)
-    ]
-
-    def counts(batch: np.ndarray) -> np.ndarray:
-        return (batch[:, None] * numerator + offset) // denominator
-
-    # sums[i * group + h]: per class, the weighted sum over the narrow rows
-    # before narrow row h of wide row rows[i]; a count ends in wide row
-    # count // group, at its narrow row count % group
-    marked = np.zeros(len(table) + 1, dtype=bool)
-    for batch in batches:
-        marked[counts(batch) // group] = True
-    rows = np.flatnonzero(marked)
-    bounds = [0, *rows.tolist()]
-    prefix = np.zeros((len(bounds), width), dtype=np.int64)
-    for i in range(1, len(bounds)):
-        np.add(prefix[i - 1], table[bounds[i - 1] : bounds[i]].sum(axis=0), out=prefix[i])
-    heads = np.zeros((len(rows), group, modulus), dtype=np.int64)
-    # only a count of all the narrow rows ends in the row past the table,
-    # at h = 0, so clipping to the last row changes no head that is read
-    tops = np.take(table, rows, axis=0, mode="clip").reshape(-1, group, modulus)
-    np.cumsum(tops[:, :-1], axis=1, out=heads[:, 1:])
-    heads += prefix[1:].reshape(-1, group, modulus).sum(axis=1)[:, None]
-    heads[..., 1::2] *= 2  # the weight 2 of the even classes
-    sums = heads.reshape(-1, modulus)
-    start = np.zeros(len(marked), dtype=np.intp)
-    start[rows] = np.arange(0, len(sums), group)
+    per_gather = max(1, _GATHER_READS // len(reads))
 
     samples = []
-    for batch in batches:
-        wide, head = np.divmod(counts(batch), group)
-        totals = sums[start[wide] + head, column].sum(axis=1)
-        for n, phi_total in zip(batch.tolist(), totals.tolist()):
+    for lo in range(0, len(ns), per_gather):
+        batch = ns[lo : lo + per_gather]
+        n_col = np.array(batch, dtype=np.int64)[:, None]
+        count = (n_col * numerator + offset) // denominator
+        # a count of 0 reads the last row, weighted 0
+        totals = (sums[count - 1, column] * (weight * (count > 0))).sum(axis=1)
+        for n, phi_total in zip(batch, totals.tolist()):
             phi_sum = phi_total * log_a
             norm = log_a / math.pi**2 * n * n
             samples.append(GrowthSample(n, None, phi_sum, None, phi_sum / norm))

@@ -376,7 +376,8 @@ def test_surrogate_equals_full_sieve_layout_at_large_n(n_max):
         assert [s.phi_sum for s in samples] == [t * math.log(3) for t in totals], pattern
 
 
-# (word, cover modulus M): a wide row holds many, two or one rows of M
+# (word, cover modulus M): M = 6 is not a power of two; n_max up to 129
+# leaves the class table of M = 126 or 128 one or two rows
 READ_PATH_WORDS = [("-", 2), ("+", 2), ("-+", 4), ("-++", 6), ("--+-+-++", 16),
                    (THUE_MORSE_64[:63], 126), (THUE_MORSE_64, 128)]
 
@@ -384,16 +385,16 @@ READ_PATH_WORDS = [("-", 2), ("+", 2), ("-+", 4), ("-++", 6), ("--+-+-++", 16),
 @pytest.mark.parametrize("word, modulus", READ_PATH_WORDS)
 @pytest.mark.parametrize("n_max", [1, 2, 127, 128, 129, 2999, 3001])
 @pytest.mark.parametrize("step", [1, 7])
-def test_surrogate_read_path_equals_full_sieve_layout(word, modulus, n_max, step):
-    # n_max below, at and just past the row width, and samples over more
-    # than one batch of reads at n_max near 3000
+def test_surrogate_read_path_equals_full_sieve_layout(word, modulus, n_max, step,
+                                                      monkeypatch):
     pattern = parse_pattern(word)
     assert pattern_cover(pattern).modulus == modulus
-    samples = surrogate_series(2, pattern, n_max, step)
-    totals = _phi_totals_over_full_sieve(pattern, n_max, step)
-    assert [s.phi_sum for s in samples] == [t * LN2 for t in totals]
-    if n_max > 2000:
-        assert len(samples) > growth._ROW_WIDTH
+    expected = [t * LN2 for t in _phi_totals_over_full_sieve(pattern, n_max, step)]
+    assert [s.phi_sum for s in surrogate_series(2, pattern, n_max, step)] == expected
+    # 300 reads a gather: one sample of Thue-Morse-64 at a time, 300 of "-",
+    # so at n_max near 3000 every word's samples span several gathers
+    monkeypatch.setattr(growth, "_GATHER_READS", 300)
+    assert [s.phi_sum for s in surrogate_series(2, pattern, n_max, step)] == expected
 
 
 def test_surrogate_converges_for_all_minus():
