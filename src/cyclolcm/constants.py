@@ -19,13 +19,14 @@ Li2(1/2) = (pi^2 - 6 log^2 2) / 12.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclotomic import _factorize
 from .patterns import SignPattern
 
-if TYPE_CHECKING:  # `random` reads only random_model_constant, so cover loads on use
+if TYPE_CHECKING:  # `random` reads only random_model_constant: cover and fractions load on use
+    from fractions import Fraction
+
     from .cover import ProgressionCover
 
 __all__ = [
@@ -58,6 +59,8 @@ def growth_constant(pattern: SignPattern) -> GrowthConstant:
     constant inherits whatever trust the oracle-tested cover has; no
     per-pattern shortcuts.  The value does not depend on the base a.
     """
+    import fractions
+
     from .cover import pattern_cover
 
     cover = pattern_cover(pattern)
@@ -76,7 +79,7 @@ def growth_constant(pattern: SignPattern) -> GrowthConstant:
     common = math.lcm(*by_den)
     total = sum(w * (common // den) for den, w in by_den.items())
     scale = modulus * math.prod(p * p - 1 for p in primes) * common
-    return GrowthConstant(pattern, Fraction(3 * total, scale), cover)
+    return GrowthConstant(pattern, fractions.Fraction(3 * total, scale), cover)
 
 
 def random_model_constant() -> float:

@@ -74,18 +74,6 @@ def totient(n: int) -> int:
 SIEVE_BLOCK = 1 << 16
 
 
-def _primes_upto(limit: int) -> list[int]:
-    """Primes p <= limit by the sieve of Eratosthenes."""
-    import numpy as np
-
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    return np.flatnonzero(is_prime).tolist()
-
-
 def totient_sieve(limit: int) -> np.ndarray:
     """Array phi with phi[n] = totient(n) for 0 <= n <= limit (phi[0] = 0).
 
@@ -101,8 +89,9 @@ def totient_sieve(limit: int) -> np.ndarray:
     never crosses a power of two, so hi <= 2 * lo and every m <= n / 2 < lo
     is already filled in.  The even entries of a block are copied from
     their halves and doubled where n is a multiple of 4.  On the odd
-    entries each odd prime p <= sqrt(limit) is written onto its multiples,
-    so every odd composite n is marked with one of its primes; an entry
+    entries each odd prime p <= sqrt(hi - 1), read off the filled entries
+    below lo as a p with phi(p) = p - 1, is written onto its multiples, so
+    every odd composite n is marked with one of its primes; an entry
     left unmarked is a prime n, with p = n and m = 1.  One division, one
     gather and one multiply then fill the odd entries, with the factor p
     or p - 1 made in place of p.
@@ -113,7 +102,6 @@ def totient_sieve(limit: int) -> np.ndarray:
         raise ValueError(f"totient_sieve requires limit >= 1, got {limit}")
     phi = np.empty(limit + 1, dtype=np.int64)
     phi[:2] = (0, 1)
-    odd_primes = _primes_upto(math.isqrt(limit))[1:]
     lo = 2
     while lo <= limit:
         hi = min(lo + SIEVE_BLOCK, 1 << lo.bit_length(), limit + 1)
@@ -122,7 +110,8 @@ def totient_sieve(limit: int) -> np.ndarray:
         odd = lo | 1
         m = np.arange(odd, hi, 2, dtype=np.int64)
         p = m.copy()
-        for q in odd_primes:  # odd + 2i ≡ 0 (mod q) at i ≡ -odd / 2
+        small = np.arange(3, math.isqrt(hi - 1) + 1, 2)  # all below lo: phi is final
+        for q in small[phi[small] == small - 1].tolist():  # odd + 2i ≡ 0 (mod q) at i ≡ -odd/2
             p[-odd * (q + 1) // 2 % q :: q] = q
         m //= p
         p -= m % p != 0

@@ -25,13 +25,14 @@ with no array library involved.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclotomic import divisor_set, totient, totient_sieve
 from .exact_arith import valuation
 
-if TYPE_CHECKING:  # at run time numpy loads only in the functions that build arrays
+if TYPE_CHECKING:  # numpy and fractions load only in the functions that build them
+    from fractions import Fraction
+
     import numpy as np
 
 __all__ = [
@@ -85,8 +86,10 @@ def indicator_expectation(n: int, d: int) -> Fraction:
     """Exact probability that d lies in the random divisor-set union."""
     if n < 1 or d < 1:
         raise ValueError(f"indicator_expectation requires n, d >= 1, got ({n}, {d})")
+    import fractions  # per call, a sixth of the cost of `from fractions import Fraction`
+
     e = _floor_exponent(n, d)
-    return 1 - Fraction(1, 2**e)
+    return 1 - fractions.Fraction(1, 2**e)
 
 
 def pair_expectation(n: int, d1: int, d2: int) -> Fraction:
@@ -101,6 +104,8 @@ def pair_expectation(n: int, d1: int, d2: int) -> Fraction:
         raise ValueError(
             f"pair_expectation requires n, d1, d2 >= 1, got ({n}, {d1}, {d2})"
         )
+    import fractions
+
     e1 = _floor_exponent(n, d1)
     e2 = _floor_exponent(n, d2)
     lcm12 = d1 // math.gcd(d1, d2) * d2
@@ -110,7 +115,7 @@ def pair_expectation(n: int, d1: int, d2: int) -> Fraction:
         top, joint = max(e1, e2), 0
     else:
         top, joint = e1 + e2 - _floor_exponent(n, lcm12), 1
-    return Fraction((1 << top) - (1 << top - e1) - (1 << top - e2) + joint, 1 << top)
+    return fractions.Fraction((1 << top) - (1 << top - e1) - (1 << top - e2) + joint, 1 << top)
 
 
 def expected_X(n: int, mode: str = "exact") -> Fraction | float:
@@ -144,6 +149,8 @@ def expected_X(n: int, mode: str = "exact") -> Fraction | float:
         # cumsum adds left to right, as a Python loop would; np.sum is
         # pairwise and may differ in the last bit.
         return float(np.cumsum(terms)[-1])
+    import fractions
+
     # The exponent is n at d = 1 and d = 2 and below n elsewhere, so 2^n is
     # the one shared denominator.
     phi_total = 0
@@ -152,14 +159,12 @@ def expected_X(n: int, mode: str = "exact") -> Fraction | float:
         phi_d = totient(d)
         phi_total += phi_d
         numerator += phi_d << (n - _floor_exponent(n, d))
-    return phi_total - Fraction(numerator, 1 << n)
+    return phi_total - fractions.Fraction(numerator, 1 << n)
 
 
 def _coprime_pairs_upto(limit: int):
     """Yield ordered coprime pairs (a1, a2), a1*a2 <= limit, a1 <= a2."""
-    for a1 in range(1, limit + 1):
-        if a1 * a1 > limit:
-            break
+    for a1 in range(1, math.isqrt(limit) + 1):
         for a2 in range(a1, limit // a1 + 1):
             if math.gcd(a1, a2) == 1:
                 yield a1, a2
@@ -314,7 +319,9 @@ def exhaustive_indicator_tables(
     Returns ({d: E[I(n,d)]}, {(d1,d2): E[I(n,d1)*I(n,d2)]}) for all
     d, d1, d2 <= 2n: the counts of _indicator_counts over 2^n.
     """
+    import fractions
+
     return tuple(
-        {key: Fraction(count, 1 << n) for key, count in counts.items()}
+        {key: fractions.Fraction(count, 1 << n) for key, count in counts.items()}
         for counts in _indicator_counts(n)
     )

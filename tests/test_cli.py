@@ -35,8 +35,8 @@ def run_cli(*args):
 
 
 # Runs `cli.main` on argv[1:] (only `import cyclolcm` when empty), then
-# prints which of dataclasses, inspect, json and numpy got loaded and, on a
-# second line, the sorted cyclolcm submodules that did.
+# prints which of dataclasses, fractions, inspect, json and numpy got
+# loaded and, on a second line, the sorted cyclolcm submodules that did.
 LOAD_PROBE = """
 import contextlib, io, sys
 import cyclolcm
@@ -44,7 +44,8 @@ if sys.argv[1:]:
     from cyclolcm import cli
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(sys.argv[1:]) == 0
-print(" ".join(m for m in ("dataclasses", "inspect", "json", "numpy") if m in sys.modules))
+LIBRARIES = ("dataclasses", "fractions", "inspect", "json", "numpy")
+print(" ".join(m for m in LIBRARIES if m in sys.modules))
 print(" ".join(sorted(m for m in sys.modules if m.startswith("cyclolcm."))))
 """
 
@@ -112,6 +113,20 @@ def test_no_command_loads_dataclasses_or_inspect(args, loads_numpy):
 )
 def test_json_loads_only_where_json_is_printed(args, loads_json):
     assert ("json" in probe_loads(args)[0]) == loads_json
+
+
+@pytest.mark.parametrize(
+    "args, loads_fractions",
+    [
+        (["random", "--n", "200", "--trials", "4"], False),
+        (["expect", "--n", "300"], False),
+        (["expect", "--n", "300", "--exact"], True),
+        (["constant", "--pattern", "--+"], True),
+    ],
+    ids=["random", "expect-float", "expect-exact", "constant"],
+)
+def test_fractions_loads_only_where_a_fraction_is_built(args, loads_fractions):
+    assert ("fractions" in probe_loads(args)[0]) == loads_fractions
 
 
 @pytest.mark.parametrize(

@@ -60,12 +60,14 @@ def fresh_factor_cache():
 
 def test_totient_sieve_block_edges(fresh_factor_cache):
     # limits around the block size and the powers of two, where the
-    # segments start and end
+    # segments start and end, and around prime squares, where a block's
+    # last entry is the first odd composite that needs the prime q
     block = cyclotomic.SIEVE_BLOCK
     top = max(3 * block, 2**18 + 1)
     reference = [0] + [totient(n) for n in range(1, top + 1)]
     powers = [2**k + e for k in range(1, 19) for e in (-1, 0, 1)]
-    for limit in (1, 2, 3, 4, 97, block - 1, block, block + 1, top, *powers):
+    squares = [q * q + e for q in (3, 5, 7, 11, 13, 127, 181, 251, 257) for e in (-1, 0, 1)]
+    for limit in (1, 2, 3, 4, 97, block - 1, block, block + 1, top, *powers, *squares):
         phi = totient_sieve(limit)
         assert phi.dtype == np.int64
         assert phi.tolist() == reference[: limit + 1]
