@@ -1,9 +1,13 @@
 """CLI surface: output schemas, determinism, exit codes."""
 
+import gc
+import importlib
 import json
 import os
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -284,6 +288,13 @@ def test_refusals_exit_one_and_name_the_value(argv, named, capsys):
     assert named in captured.err
 
 
+def test_growth_random_requires_exact():
+    out = run_cli("growth", "--base", "2", "--random", "--n-max", "10")
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == "error: --random requires --exact (no cover for random shifts)\n"
+
+
 def test_growth_refuses_bad_base_before_drawing_shifts(monkeypatch, capsys):
     # the base is refused before random_shifts could draw a billion shifts
     def refuse(*args):
@@ -440,3 +451,43 @@ def test_growth_rejects_malformed_seed_without_random():
     out = run_cli("growth", "--base", "2", "--pattern", "-", "--n-max", "5", "--seed", "zz")
     assert out.returncode == 1
     assert "seed must be decimal or 0x-hex" in out.stderr
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # tests, demos and perfbench/tracer.py run cli.main in-process
+    state = gc.isenabled(), gc.get_freeze_count()
+    assert main(["constant", "--pattern", "-+"]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == state
+
+
+def run_console_script():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as f:
+        module, _, name = tomllib.load(f)["project"]["scripts"]["cyclolcm"].partition(":")
+    return getattr(importlib.import_module(module), name)()
+
+
+def run_python_m(monkeypatch):
+    # as `python -m cyclolcm`, which has not imported cyclolcm.__main__ as a module
+    monkeypatch.delitem(sys.modules, "cyclolcm.__main__", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("cyclolcm", run_name="__main__")
+    return exc.value.code
+
+
+@pytest.mark.parametrize("how", ["console-script", "python-m"])
+def test_process_entry_runs_main_without_the_collector(how, monkeypatch):
+    collecting = []
+
+    def stub():
+        collecting.append(gc.isenabled())
+        return 3
+
+    monkeypatch.setattr(cli_module, "main", stub)
+    try:
+        assert (run_console_script() if how == "console-script" else run_python_m(monkeypatch)) == 3
+        assert collecting == [False]
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+        gc.enable()

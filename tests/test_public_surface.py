@@ -7,7 +7,7 @@ import pytest
 
 import cyclolcm
 
-# __main__ runs the CLI on import.
+# __main__ is the process entry, not a library module.
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(cyclolcm.__path__) if info.name != "__main__"
 )
