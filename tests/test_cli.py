@@ -269,6 +269,10 @@ REFUSALS = {
     "expect-exact-n-0": (["expect", "--n", "0", "--exact"], "n >= 1, got 0"),
     "table-max-period-0": (["table", "--max-period", "0"], "invalid choice: 0"),
     "table-max-period-9": (["table", "--max-period", "9"], "invalid choice: 9"),
+    "growth-random-without-exact": (
+        ["growth", "--base", "2", "--random", "--n-max", "10"],
+        "error: --random requires --exact (no cover for random shifts)",
+    ),
 }
 
 
@@ -286,13 +290,6 @@ def test_refusals_exit_one_and_name_the_value(argv, named, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert named in captured.err
-
-
-def test_growth_random_requires_exact():
-    out = run_cli("growth", "--base", "2", "--random", "--n-max", "10")
-    assert out.returncode == 1
-    assert out.stdout == ""
-    assert out.stderr == "error: --random requires --exact (no cover for random shifts)\n"
 
 
 def test_growth_refuses_bad_base_before_drawing_shifts(monkeypatch, capsys):
