@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _HOME = {
     name: module
     for module, names in {
-        "exact_arith": "valuation log_big",
+        "exact_arith": "log_big",
         "cyclotomic": "cyclotomic_value divisor_set divisors totient totient_sieve",
         "patterns": "SignPattern parse_pattern random_shifts subseed",
         "cover": "ProgressionCover pattern_cover cover_members oracle_L",

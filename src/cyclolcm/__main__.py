@@ -1,4 +1,5 @@
 import gc
+import os
 import sys
 
 
@@ -10,7 +11,14 @@ def entry() -> int:
     from .cli import main
 
     try:
-        return main()
+        code = main()
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader has gone: send what is left to devnull, so the flush at exit
+        # cannot raise again, and exit 1 without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     finally:
         gc.freeze()
 

@@ -129,6 +129,11 @@ def _divisor_tuple(n: int) -> tuple[int, ...]:
     return tuple(sorted(divs))
 
 
+def _v2(x: int) -> int:
+    """2-adic valuation of a nonzero int: the exponent of its lowest set bit."""
+    return (x & -x).bit_length() - 1
+
+
 def divisors(n: int) -> list[int]:
     """Sorted list of positive divisors of n (a fresh list)."""
     return list(_divisor_tuple(n))
@@ -147,7 +152,7 @@ def divisor_set(k: int, shift: int) -> list[int]:
         raise ValueError(f"shift must be -1 or +1, got {shift}")
     if shift == -1:
         return divisors(k)
-    v = (k & -k).bit_length() - 1
+    v = _v2(k)
     return [d << (v + 1) for d in _divisor_tuple(k >> v)]
 
 

@@ -1,36 +1,20 @@
-"""Big-integer primitives: the p-adic valuation and an accurate logarithm.
+"""Big-integer logarithm.
 
-Python's built-in ``int`` is the arbitrary-precision integer used throughout
-and ``fractions.Fraction`` the exact rational; this module adds the two
-operations the rest of the package needs on top of them: the exponent of a
-prime in an integer, and a logarithm that stays accurate for multi-megabit
-integers.
+Python's built-in ``int`` is the arbitrary-precision integer used
+throughout; `log_big` reads the natural log of one from its bit length and
+top 64 bits, so it stays accurate for multi-megabit integers, where
+float(x) overflows.
 
-All values are immutable and every function here is pure, so concurrent
-callers are safe.
+The function is pure, so concurrent callers are safe.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["valuation", "log_big"]
+__all__ = ["log_big"]
 
 _LN2 = math.log(2.0)
-
-
-def valuation(p: int, x: int) -> int:
-    """Largest v with p**v dividing x.  p must be prime, x nonzero."""
-    if p < 2:
-        raise ValueError(f"valuation needs a prime base, got {p}")
-    if x == 0:
-        raise ValueError("valuation of 0 is undefined")
-    x = abs(x)
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
 
 
 def log_big(x: int) -> float:
@@ -42,10 +26,8 @@ def log_big(x: int) -> float:
     """
     if x <= 0:
         raise ValueError(f"log_big requires x >= 1, got {x}")
-    nbits = x.bit_length()
-    if nbits <= 64:
-        return math.log(x)
-    shift = nbits - 64
+    shift = max(x.bit_length() - 64, 0)
     # Truncation drops at most 2**-63 in relative terms; negligible next
-    # to float rounding of the two summands.
+    # to float rounding of the two summands.  Below 2**64 nothing is cut
+    # and the sum is math.log(x) exactly.
     return math.log(x >> shift) + shift * _LN2

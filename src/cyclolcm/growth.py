@@ -52,8 +52,8 @@ from typing import IO, Iterator, NamedTuple, Sequence
 
 from .constants import GrowthConstant
 from .cover import _entry_buckets, pattern_cover
-from .cyclotomic import cyclotomic_value, totient, totient_sieve
-from .exact_arith import log_big, valuation
+from .cyclotomic import _v2, cyclotomic_value, totient, totient_sieve
+from .exact_arith import log_big
 from .patterns import SignPattern, _shift_list
 
 __all__ = [
@@ -162,9 +162,9 @@ def _lcm_enclosures(
     power = 1  # a^k
     for k, shift in enumerate(seq, 1):
         power *= a
-        m2 = max(m2, valuation(2, power + shift))
+        m2 = max(m2, _v2(power + shift))
         part = math.prod(cyclotomic_value(d, a) for d in entering[k])
-        part >>= valuation(2, part)
+        part >>= _v2(part)
         lo *= part
         hi *= part
         cut = max(hi.bit_length() - bits, 0)

@@ -166,6 +166,8 @@ def _plus_rows(seeds: np.ndarray, n: int) -> np.ndarray:
 
 def random_shifts(seed: int, n: int) -> list[int]:
     """First n shifts of the stream seeded with `seed`."""
+    if type(seed) is not int or type(n) is not int:
+        raise ValueError(f"seed and n must be ints, got ({seed!r}, {n!r})")
     if n < 1:
         raise ValueError(f"random_shifts requires n >= 1, got {n}")
     if not 0 <= seed <= _MASK64:

@@ -27,8 +27,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .cyclotomic import divisor_set, totient, totient_sieve
-from .exact_arith import valuation
+from .cyclotomic import _v2, divisor_set, totient, totient_sieve
 
 if TYPE_CHECKING:  # numpy and fractions load only in the functions that build them
     from fractions import Fraction
@@ -111,7 +110,7 @@ def pair_expectation(n: int, d1: int, d2: int) -> Fraction:
     lcm12 = d1 // math.gcd(d1, d2) * d2
     # 1 - 2^-e1 - 2^-e2 (+ 2^-e3), put over 2^E with E the largest exponent
     # (e3 >= e1, e2 since e12 <= min(e1, e2)), as one Fraction.
-    if lcm12 <= 2 * n and valuation(2, d1) != valuation(2, d2):
+    if lcm12 <= 2 * n and _v2(d1) != _v2(d2):
         top, joint = max(e1, e2), 0
     else:
         top, joint = e1 + e2 - _floor_exponent(n, lcm12), 1
@@ -253,8 +252,8 @@ def monte_carlo(
     reproducible bit-for-bit whatever the batching (see MC_BLOCK_CELLS).
     X and the normalized ratio pi^2 * X / n^2 do not depend on the base a.
     """
-    if type(n) is not int or type(trials) is not int:
-        raise ValueError(f"n and trials must be ints, got ({n!r}, {trials!r})")
+    if type(n) is not int or type(trials) is not int or type(seed) is not int:
+        raise ValueError(f"n, trials and seed must be ints, got ({n!r}, {trials!r}, {seed!r})")
     if n < 1 or trials < 1:
         raise ValueError(f"n and trials must be >= 1, got ({n}, {trials})")
     import numpy as np

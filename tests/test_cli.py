@@ -23,14 +23,15 @@ from cyclolcm.verify import CheckResult
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(cli_module.__file__))
 
 
-def run_python(*args):
+def run_python(*args, stdout=subprocess.PIPE, **env):
     path = [PACKAGE_ROOT, os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
         [sys.executable, *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         timeout=300,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+        env=dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, path))),
     )
 
 
@@ -141,14 +142,16 @@ def test_fractions_loads_only_where_a_fraction_is_built(args, loads_fractions):
         (["verify", "--suite", "table1"], "growth stochastic"),
         (["verify", "--suite", "cover-oracle"], "growth stochastic constants"),
         (["verify", "--suite", "cyclotomic"], "growth stochastic cover constants patterns"),
-        (["verify", "--suite", "stochastic-oracle"], "growth cover constants patterns"),
+        (["verify", "--suite", "stochastic-oracle"],
+         "growth cover constants patterns exact_arith"),
         (["growth", "--exact", "--base", "3", "--pattern", "-+-", "--n-max", "60",
           "--step", "20"], "stochastic verify"),
         (["growth", "--base", "2", "--pattern", "-+", "--n-max", "200", "--step", "50"],
          "stochastic verify"),
-        (["random", "--n", "50", "--trials", "2"], "growth verify cover"),
-        (["expect", "--n", "50", "--exact"], "growth verify constants cover patterns"),
-        (["expect", "--n", "50"], "growth verify constants cover patterns"),
+        (["random", "--n", "50", "--trials", "2"], "growth verify cover exact_arith"),
+        (["expect", "--n", "50", "--exact"],
+         "growth verify constants cover patterns exact_arith"),
+        (["expect", "--n", "50"], "growth verify constants cover patterns exact_arith"),
     ],
     ids=["constant", "table", "verify-table1", "verify-cover-oracle", "verify-cyclotomic",
          "verify-stochastic-oracle", "growth-exact", "growth-surrogate", "random",
@@ -448,6 +451,22 @@ def test_growth_rejects_malformed_seed_without_random():
     out = run_cli("growth", "--base", "2", "--pattern", "-", "--n-max", "5", "--seed", "zz")
     assert out.returncode == 1
     assert "seed must be decimal or 0x-hex" in out.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "args", [["table", "--max-period", "3"], ["expect", "--n", "50"]], ids=["table", "expect"]
+)
+def test_closed_stdout_exits_1_without_a_traceback(args, unbuffered):
+    # the reader is gone before the first write (unbuffered) or before the
+    # flush at exit (buffered); both commands write nothing to stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = run_python("-m", "cyclolcm", *args, stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (1, "")
 
 
 def test_main_leaves_the_collector_alone(capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclolcm import (
     cyclotomic_value,
@@ -14,7 +16,7 @@ from cyclolcm import (
     totient_sieve,
 )
 from cyclolcm import cyclotomic
-from cyclolcm.cyclotomic import _factorize
+from cyclolcm.cyclotomic import _factorize, _v2
 
 
 def brute_totient(n):
@@ -25,6 +27,22 @@ def brute_divisors(n):
     # trial division up to sqrt(n), each hit paired with its cofactor
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     return sorted(set(small) | {n // d for d in small})
+
+
+def brute_v2(x):
+    # the exponent of 2 in a nonzero int, by halving while it divides
+    v = 0
+    while x % 2 == 0:
+        x //= 2
+        v += 1
+    return v
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(0, 2**4095 - 1), v=st.integers(0, 10**4))
+def test_v2_is_the_exponent_of_two(m, v):
+    x = (2 * m + 1) << v  # odd part up to 2^4096
+    assert _v2(x) == brute_v2(x) == v
 
 
 def test_totient_examples():

@@ -5,19 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cyclolcm import log_big, valuation
-
-
-def test_valuation():
-    assert valuation(2, 48) == 4
-    assert valuation(2, 7) == 0
-    assert valuation(3, 63) == 2
-    assert valuation(5, -250) == 3
-    with pytest.raises(ValueError):
-        valuation(2, 0)
-    with pytest.raises(ValueError):
-        valuation(1, 10)
+from cyclolcm import log_big
 
 
 def test_log_big_examples():
@@ -25,6 +16,17 @@ def test_log_big_examples():
     expected = 1000 * math.log(2)
     assert abs(log_big(2**1000) - expected) <= 1e-12 * expected
     assert abs(log_big(63) - math.log(63)) <= 1e-12 * math.log(63)
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 2**64 - 1))
+@example(1)
+@example(2)
+@example(2**63 - 1)
+@example(2**64 - 1)
+def test_log_big_below_2_to_the_64_is_math_log(x):
+    # nothing is cut below 2^64, so the float is math.log's own
+    assert log_big(x) == math.log(x)
 
 
 def test_log_big_rejects_nonpositive():

@@ -164,3 +164,6 @@ def test_pattern_word_validation():
         random_shifts(-1, 1)
     with pytest.raises(ValueError):
         random_shifts(0, 0)
+    for seed, n in ((0, True), (0, 2.0), (1.5, 3), (True, 3)):
+        with pytest.raises(ValueError, match="seed and n must be ints"):
+            random_shifts(seed, n)

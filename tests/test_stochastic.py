@@ -355,9 +355,9 @@ def test_monte_carlo_validation():
         monte_carlo(0, 5, 0)
     with pytest.raises(ValueError):
         monte_carlo(10, 0, 0)
-    for n, trials in ((10.0, 2), (10, 2.0), (True, 2)):
-        with pytest.raises(ValueError, match="n and trials must be ints"):
-            monte_carlo(n, trials, 1)
+    for n, trials, seed in ((10.0, 2, 1), (10, 2.0, 1), (True, 2, 1), (10, 2, True), (10, 2, 1.0)):
+        with pytest.raises(ValueError, match="n, trials and seed must be ints"):
+            monte_carlo(n, trials, seed)
 
 
 def test_monte_carlo_rejects_seeds_outside_64_bits():
