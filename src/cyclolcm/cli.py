@@ -54,13 +54,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_seed(text: str) -> int:
+    from .patterns import _check_seed
+
     # ASCII digits only: int() would also take "1_000", " 5", "+5" and
     # non-ASCII digits
     if not re.fullmatch(r"[0-9]+|0x[0-9a-fA-F]+", text):
         raise ValueError(f"seed must be decimal or 0x-hex, got {text!r}")
     value = int(text, 16) if text.startswith("0x") else int(text)
-    if not 0 <= value < 1 << 64:
-        raise ValueError(f"seed must fit in 64 bits, got {text}")
+    _check_seed(value)
     return value
 
 

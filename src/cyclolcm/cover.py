@@ -30,7 +30,7 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .cyclotomic import divisor_set
+from .cyclotomic import _check_int, divisor_set
 from .patterns import SignPattern, _shift_list
 
 __all__ = [
@@ -54,6 +54,7 @@ class ProgressionCover(_ProgressionCoverFields):
     __slots__ = ()
 
     def __new__(cls, modulus: int, slopes: dict[int, Fraction]) -> ProgressionCover:
+        _check_int("modulus", modulus)
         slopes = dict(slopes)
         for t, theta in slopes.items():
             if type(t) is not int or not 1 <= t <= modulus:
@@ -142,8 +143,7 @@ def cover_members(cover: ProgressionCover, x: int) -> list[int]:
     Membership uses the exact rational comparison d <= theta * x, i.e.
     d <= floor(theta * x) since d is an integer.
     """
-    if x < 1:
-        raise ValueError(f"cover_members requires x >= 1, got {x}")
+    _check_int("x", x)
     return sorted(d for d, _ in _cover_entry_masks([cover], x))
 
 
@@ -179,6 +179,5 @@ def oracle_L(shifts: SignPattern | Sequence[int], n: int) -> list[int]:
     the literal definition, read as the d of a one-word _entry_masks
     batch.  Accepts a pattern or an explicit shift list of length >= n.
     """
-    if n < 1:
-        raise ValueError(f"oracle_L requires n >= 1, got {n}")
+    _check_int("n", n)
     return sorted(d for d, _ in _entry_masks([_shift_list(shifts, n)], n))

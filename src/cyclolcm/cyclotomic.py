@@ -32,12 +32,20 @@ __all__ = [
 ]
 
 
+def _check_int(name: str, value: int, low: int = 1) -> None:
+    """Refuse a value that is not a Python int >= low; bool and float are
+    refused too.  Every public index, count, base and seed goes through it."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 @cache
 def _factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} by memoised trial division; every
     caller gets the same dict for the same n, to read and never change."""
-    if n < 1:
-        raise ValueError(f"factorize requires n >= 1, got {n}")
+    _check_int("n", n)
     m = n
     fac: dict[int, int] = {}
     for p in (2, 3):
@@ -57,10 +65,7 @@ def _factorize(n: int) -> dict[int, int]:
 
 def totient(n: int) -> int:
     """Euler's phi: count of 1 <= k <= n coprime to n."""
-    if type(n) is not int:
-        raise ValueError(f"totient requires an int n, got {n!r}")
-    if n < 1:
-        raise ValueError(f"totient requires n >= 1, got {n}")
+    _check_int("n", n)
     result = n
     for p in _factorize(n):
         result = result // p * (p - 1)
@@ -96,10 +101,9 @@ def totient_sieve(limit: int) -> np.ndarray:
     gather and one multiply then fill the odd entries, with the factor p
     or p - 1 made in place of p.
     """
+    _check_int("limit", limit)
     import numpy as np
 
-    if limit < 1:
-        raise ValueError(f"totient_sieve requires limit >= 1, got {limit}")
     phi = np.empty(limit + 1, dtype=np.int64)
     phi[:2] = (0, 1)
     lo = 2
@@ -136,6 +140,7 @@ def _v2(x: int) -> int:
 
 def divisors(n: int) -> list[int]:
     """Sorted list of positive divisors of n (a fresh list)."""
+    _check_int("n", n)
     return list(_divisor_tuple(n))
 
 
@@ -146,8 +151,7 @@ def divisor_set(k: int, shift: int) -> list[int]:
     2k that do not divide k, that is 2^(v+1) times each divisor of k / 2^v
     with v = v_2(k).  A shift other than the int -1 or +1 raises ValueError.
     """
-    if k < 1:
-        raise ValueError(f"divisor_set requires k >= 1, got {k}")
+    _check_int("k", k)
     if type(shift) is not int or shift not in (-1, 1):
         raise ValueError(f"shift must be -1 or +1, got {shift}")
     if shift == -1:
@@ -164,14 +168,8 @@ def cyclotomic_value(n: int, a: int) -> int:
     is exact and there is no coefficient blowup.  Only the 2^omega(n)
     squarefree d contribute, with mu(d) = (-1)^(number of primes of d).
     """
-    if type(n) is not int:
-        raise ValueError(f"cyclotomic_value requires an int n, got {n!r}")
-    if n < 1:
-        raise ValueError(f"cyclotomic_value requires n >= 1, got {n}")
-    if type(a) is not int:
-        raise ValueError(f"cyclotomic_value requires an int a, got {a!r}")
-    if a <= 1:
-        raise ValueError(f"cyclotomic_value requires a >= 2, got {a}")
+    _check_int("n", n)
+    _check_int("a", a, 2)
     squarefree = [(1, 1)]  # (d, mu(d))
     for p in _factorize(n):
         squarefree += [(d * p, -mu) for d, mu in squarefree]

@@ -52,7 +52,7 @@ from typing import IO, Iterator, NamedTuple, Sequence
 
 from .constants import GrowthConstant
 from .cover import _entry_buckets, pattern_cover
-from .cyclotomic import _v2, cyclotomic_value, totient, totient_sieve
+from .cyclotomic import _check_int, _v2, cyclotomic_value, totient, totient_sieve
 from .exact_arith import log_big
 from .patterns import SignPattern, _shift_list
 
@@ -123,18 +123,9 @@ class ConvergenceReport(NamedTuple):
 
 
 def _check_growth_args(a: int, n_max: int, step: int) -> None:
-    if type(a) is not int:
-        raise ValueError(f"base a must be an int, got {a!r}")
-    if a < 2:
-        raise ValueError(f"base a must be >= 2, got {a}")
-    if type(n_max) is not int:
-        raise ValueError(f"n_max must be an int, got {n_max!r}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if type(step) is not int:
-        raise ValueError(f"step must be an int, got {step!r}")
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
+    _check_int("base a", a, 2)
+    _check_int("n_max", n_max)
+    _check_int("step", step)
 
 
 def _lcm_enclosures(

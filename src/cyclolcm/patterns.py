@@ -23,6 +23,8 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
+from .cyclotomic import _check_int
+
 if TYPE_CHECKING:  # at run time numpy loads only in the functions that build arrays
     import numpy as np
 
@@ -148,9 +150,18 @@ def _mix64(x: int | np.ndarray) -> int | np.ndarray:
     return z ^ (z >> 31)
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a seed that is not a Python int in 0..2^64 - 1."""
+    _check_int("seed", seed, 0)
+    if seed > _MASK64:
+        raise ValueError(f"seed must fit in 64 bits, got {seed}")
+
+
 def subseed(seed: int, trial_index: int) -> int:
     """Per-trial sub-seed: seed XOR mix64(trial_index)."""
-    return (seed ^ _mix64(trial_index & _MASK64)) & _MASK64
+    _check_seed(seed)
+    _check_int("trial_index", trial_index, 0)
+    return seed ^ _mix64(trial_index & _MASK64)
 
 
 def _plus_rows(seeds: np.ndarray, n: int) -> np.ndarray:
@@ -166,10 +177,6 @@ def _plus_rows(seeds: np.ndarray, n: int) -> np.ndarray:
 
 def random_shifts(seed: int, n: int) -> list[int]:
     """First n shifts of the stream seeded with `seed`."""
-    if type(seed) is not int or type(n) is not int:
-        raise ValueError(f"seed and n must be ints, got ({seed!r}, {n!r})")
-    if n < 1:
-        raise ValueError(f"random_shifts requires n >= 1, got {n}")
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must fit in 64 bits, got {seed}")
+    _check_seed(seed)
+    _check_int("n", n)
     return [1 if _mix64(seed + i * _GOLDEN) >> 63 else -1 for i in range(n)]

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .cyclotomic import _v2, divisor_set, totient, totient_sieve
+from .cyclotomic import _check_int, _v2, divisor_set, totient, totient_sieve
 
 if TYPE_CHECKING:  # numpy and fractions load only in the functions that build them
     from fractions import Fraction
@@ -83,8 +83,8 @@ def _floor_exponent(n: int, d: int) -> int:
 
 def indicator_expectation(n: int, d: int) -> Fraction:
     """Exact probability that d lies in the random divisor-set union."""
-    if n < 1 or d < 1:
-        raise ValueError(f"indicator_expectation requires n, d >= 1, got ({n}, {d})")
+    _check_int("n", n)
+    _check_int("d", d)
     import fractions  # per call, a sixth of the cost of `from fractions import Fraction`
 
     e = _floor_exponent(n, d)
@@ -99,10 +99,9 @@ def pair_expectation(n: int, d1: int, d2: int) -> Fraction:
     probability vanishes.  Otherwise the misses behave like a product over
     the union of the two index sets, giving the explicit power of two.
     """
-    if n < 1 or d1 < 1 or d2 < 1:
-        raise ValueError(
-            f"pair_expectation requires n, d1, d2 >= 1, got ({n}, {d1}, {d2})"
-        )
+    _check_int("n", n)
+    _check_int("d1", d1)
+    _check_int("d2", d2)
     import fractions
 
     e1 = _floor_exponent(n, d1)
@@ -124,10 +123,7 @@ def expected_X(n: int, mode: str = "exact") -> Fraction | float:
     2^n, hence the cap) and takes each phi(d) from totient(d), building no
     array; mode="float" sums in float64 over a sieve and scales to any n.
     """
-    if type(n) is not int:
-        raise ValueError(f"expected_X requires an int n, got {n!r}")
-    if n < 1:
-        raise ValueError(f"expected_X requires n >= 1, got {n}")
+    _check_int("n", n)
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
     if mode == "exact" and n > EXACT_EXPECTATION_CAP:
@@ -176,8 +172,7 @@ def variance_bound(n: int) -> float:
     [d1, d2] <= 2n, enumerated through gcd d and coprime cofactors so the
     pair count stays near-linear in n (times log^2).
     """
-    if n < 1:
-        raise ValueError(f"variance_bound requires n >= 1, got {n}")
+    _check_int("n", n)
     two_n = 2 * n
     total = 0.0
     for d in range(1, two_n + 1):
@@ -252,16 +247,13 @@ def monte_carlo(
     reproducible bit-for-bit whatever the batching (see MC_BLOCK_CELLS).
     X and the normalized ratio pi^2 * X / n^2 do not depend on the base a.
     """
-    if type(n) is not int or type(trials) is not int or type(seed) is not int:
-        raise ValueError(f"n, trials and seed must be ints, got ({n!r}, {trials!r}, {seed!r})")
-    if n < 1 or trials < 1:
-        raise ValueError(f"n and trials must be >= 1, got ({n}, {trials})")
+    from .patterns import _check_seed, _plus_rows, subseed
+
+    _check_int("n", n)
+    _check_int("trials", trials)
+    _check_seed(seed)  # all three before numpy loads
     import numpy as np
 
-    from .patterns import _MASK64, _plus_rows, subseed
-
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must fit in 64 bits, got {seed}")
     phi = totient_sieve(2 * n)
     norm = math.pi**2 / (n * n)
     rows = max(1, MC_BLOCK_CELLS // n)
@@ -288,8 +280,9 @@ def _indicator_counts(n: int) -> tuple[dict[int, int], dict[tuple[int, int], int
     divisor_set(k, -1) and plus[k] for d in divisor_set(k, +1).  Counts
     are popcounts of member[d] and of member[d1] & member[d2].
     """
-    if not 1 <= n <= EXHAUSTIVE_CAP:
-        raise ValueError(f"exhaustive mode requires 1 <= n <= {EXHAUSTIVE_CAP}")
+    _check_int("n", n)
+    if n > EXHAUSTIVE_CAP:
+        raise ValueError(f"exhaustive mode requires n <= {EXHAUSTIVE_CAP}, got {n}")
     size = 1 << n
     every = (1 << size) - 1
     member = [0] * (2 * n + 1)

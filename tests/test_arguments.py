@@ -1,0 +1,112 @@
+"""One argument contract: every public index, count, base and seed is a
+Python int with a lower bound, and anything else is refused by name."""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+import cyclolcm
+from cyclolcm.cover import ProgressionCover, cover_members, oracle_L
+from cyclolcm.cyclotomic import (
+    cyclotomic_value,
+    divisor_set,
+    divisors,
+    totient,
+    totient_sieve,
+)
+from cyclolcm.growth import _check_growth_args
+from cyclolcm.patterns import parse_pattern, random_shifts, subseed
+from cyclolcm.stochastic import (
+    _indicator_counts,
+    expected_X,
+    indicator_expectation,
+    monte_carlo,
+    pair_expectation,
+    variance_bound,
+)
+
+# (function, valid arguments, [(position, name, lowest value)])
+CONTRACTS = [
+    (totient, (6,), [(0, "n", 1)]),
+    (totient_sieve, (10,), [(0, "limit", 1)]),
+    (divisors, (6,), [(0, "n", 1)]),
+    (divisor_set, (6, 1), [(0, "k", 1)]),
+    (cyclotomic_value, (6, 2), [(0, "n", 1), (1, "a", 2)]),
+    (_check_growth_args, (2, 10, 1), [(0, "base a", 2), (1, "n_max", 1), (2, "step", 1)]),
+    (indicator_expectation, (10, 3), [(0, "n", 1), (1, "d", 1)]),
+    (pair_expectation, (10, 2, 3), [(0, "n", 1), (1, "d1", 1), (2, "d2", 1)]),
+    (expected_X, (10,), [(0, "n", 1)]),
+    (variance_bound, (5,), [(0, "n", 1)]),
+    (monte_carlo, (10, 2, 1), [(0, "n", 1), (1, "trials", 1), (2, "seed", 0)]),
+    (_indicator_counts, (3,), [(0, "n", 1)]),
+    (random_shifts, (1, 5), [(0, "seed", 0), (1, "n", 1)]),
+    (subseed, (1, 3), [(0, "seed", 0), (1, "trial_index", 0)]),
+    (cover_members, (ProgressionCover(2, {1: Fraction(1)}), 5), [(1, "x", 1)]),
+    (oracle_L, (parse_pattern("-"), 5), [(1, "n", 1)]),
+    (ProgressionCover, (4, {}), [(0, "modulus", 1)]),
+]
+
+CASES = [
+    pytest.param(
+        func, args[:pos] + (bad,) + args[pos + 1 :], name, message,
+        id=f"{func.__name__}-{name.replace(' ', '_')}-{bad!r}",
+    )
+    for func, args, checked in CONTRACTS
+    for pos, name, low in checked
+    for bad, message in (
+        (True, "be an int, got True"),
+        (2.0, "be an int, got 2.0"),
+        (low - 1, f"be >= {low}, got {low - 1}"),
+    )
+]
+
+
+@pytest.mark.parametrize("func, args, name, message", CASES)
+def test_refusal_names_the_argument_and_its_value(func, args, name, message):
+    with pytest.raises(ValueError) as exc:
+        func(*args)
+    assert str(exc.value) == f"{name} must {message}"
+
+
+def test_valid_arguments_pass_the_contract():
+    for func, args, _ in CONTRACTS:
+        func(*args)
+
+
+def test_every_seed_entry_refuses_seeds_past_64_bits():
+    for call in (
+        lambda seed: random_shifts(seed, 3),
+        lambda seed: subseed(seed, 0),
+        lambda seed: monte_carlo(10, 2, seed),
+    ):
+        assert call((1 << 64) - 1) is not None
+        with pytest.raises(ValueError, match=f"seed must fit in 64 bits, got {1 << 64}"):
+            call(1 << 64)
+
+
+MONTE_CARLO_PROBE = """
+import sys
+from cyclolcm.stochastic import monte_carlo
+for args in ((0, 2, 1), (2.0, 2, 1), (10, 0, 1), (10, True, 1), (10, 2, -1),
+             (10, 2, 1 << 64), (10, 2, 1.0)):
+    try:
+        monte_carlo(*args)
+    except ValueError:
+        print("numpy" in sys.modules)
+    else:
+        print("accepted", args)
+"""
+
+
+def test_monte_carlo_refuses_before_numpy_loads():
+    package_root = os.path.dirname(os.path.dirname(cyclolcm.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", MONTE_CARLO_PROBE],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"] * 7

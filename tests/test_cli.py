@@ -266,10 +266,10 @@ REFUSALS = {
         ["growth", "--base", "2", "--pattern", "-", "--random", "--n-max", "10", "--exact"],
         "argument --random: not allowed with argument --pattern",
     ),
-    "random-n-0": (["random", "--n", "0", "--trials", "3"], "got (0, 3)"),
-    "random-trials-0": (["random", "--n", "3", "--trials", "0"], "got (3, 0)"),
-    "expect-n-0": (["expect", "--n", "0"], "n >= 1, got 0"),
-    "expect-exact-n-0": (["expect", "--n", "0", "--exact"], "n >= 1, got 0"),
+    "random-n-0": (["random", "--n", "0", "--trials", "3"], "n must be >= 1, got 0"),
+    "random-trials-0": (["random", "--n", "3", "--trials", "0"], "trials must be >= 1, got 0"),
+    "expect-n-0": (["expect", "--n", "0"], "n must be >= 1, got 0"),
+    "expect-exact-n-0": (["expect", "--n", "0", "--exact"], "n must be >= 1, got 0"),
     "table-max-period-0": (["table", "--max-period", "0"], "invalid choice: 0"),
     "table-max-period-9": (["table", "--max-period", "9"], "invalid choice: 9"),
     "growth-random-without-exact": (

@@ -202,7 +202,7 @@ def test_cover_validation():
         with pytest.raises(ValueError, match=r"slope for residue 1 out of \(0, 2\]"):
             ProgressionCover(4, {1: theta})
     assert ProgressionCover(4, {1: F(2), 2: F(1, 7)}).slopes == {1: F(2), 2: F(1, 7)}
-    with pytest.raises(ValueError, match="residue 1 outside 1..0"):
+    with pytest.raises(ValueError, match="modulus must be >= 1, got 0"):
         pattern_cover(parse_pattern("+-"))._replace(modulus=0)
     with pytest.raises(ValueError):
         cover_members(ProgressionCover(2, {1: F(1)}), 0)

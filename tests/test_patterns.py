@@ -160,10 +160,15 @@ def test_pattern_word_validation():
         parse_pattern("+-")._replace(word=(0, 5))
     with pytest.raises(ValueError, match="64 bits"):
         random_shifts(2**64, 1)
-    with pytest.raises(ValueError, match="64 bits"):
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         random_shifts(-1, 1)
     with pytest.raises(ValueError):
         random_shifts(0, 0)
-    for seed, n in ((0, True), (0, 2.0), (1.5, 3), (True, 3)):
-        with pytest.raises(ValueError, match="seed and n must be ints"):
+    for seed, n, named in (
+        (0, True, "n must be an int, got True"),
+        (0, 2.0, "n must be an int, got 2.0"),
+        (1.5, 3, "seed must be an int, got 1.5"),
+        (True, 3, "seed must be an int, got True"),
+    ):
+        with pytest.raises(ValueError, match=named):
             random_shifts(seed, n)

@@ -164,7 +164,7 @@ def test_expected_x_validation():
     with pytest.raises(ValueError):
         expected_X(0)
     for n in (True, 3.0):
-        with pytest.raises(ValueError, match="expected_X requires an int n"):
+        with pytest.raises(ValueError, match=f"n must be an int, got {n!r}"):
             expected_X(n)
     with pytest.raises(ValueError):
         expected_X(10, "fancy")
@@ -355,13 +355,19 @@ def test_monte_carlo_validation():
         monte_carlo(0, 5, 0)
     with pytest.raises(ValueError):
         monte_carlo(10, 0, 0)
-    for n, trials, seed in ((10.0, 2, 1), (10, 2.0, 1), (True, 2, 1), (10, 2, True), (10, 2, 1.0)):
-        with pytest.raises(ValueError, match="n, trials and seed must be ints"):
+    for n, trials, seed, named in (
+        (10.0, 2, 1, "n must be an int, got 10.0"),
+        (10, 2.0, 1, "trials must be an int, got 2.0"),
+        (True, 2, 1, "n must be an int, got True"),
+        (10, 2, True, "seed must be an int, got True"),
+        (10, 2, 1.0, "seed must be an int, got 1.0"),
+    ):
+        with pytest.raises(ValueError, match=named):
             monte_carlo(n, trials, seed)
 
 
 def test_monte_carlo_rejects_seeds_outside_64_bits():
     # refused as random_shifts refuses them, not reduced mod 2^64
-    for seed in (2**64, -1):
-        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+    for seed, named in ((2**64, "seed must fit in 64 bits"), (-1, "seed must be >= 0, got -1")):
+        with pytest.raises(ValueError, match=named):
             monte_carlo(10, 5, seed)
