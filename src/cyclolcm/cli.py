@@ -1,27 +1,29 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands (flags match by full name only; -h or --help prints this text):
 
-    constant  --pattern P [--explain]           exact growth constant
-    table     --max-period P                    constants for all words
-    growth    --base A --pattern P --n-max N    growth series CSV
-              [--step S] [--exact] [--force-exact] | --random --seed S
-    random    --n N --trials T --seed S         Monte Carlo trials
-    expect    --n N [--exact]                   E[X] exact or float
-    verify    --suite NAME                      self-verification suites
+    constant  --pattern P [--explain] [--format table|json]   exact growth constant
+    table     --max-period 1..8 [--format table|json]         constants for all words
+    growth    --base A --n-max N [--step S] [--exact]         growth series CSV
+              (--pattern P | --random [--seed S]) [--force-exact]
+    random    --n N --trials T [--seed S] [--format csv|json] Monte Carlo trials
+    expect    --n N [--exact]                                 E[X] exact or float
+    verify    --suite NAME                                    self-verification suites
 
+P is a sign word over '-' and '+'.  --random and --force-exact need
+--exact, and --force-exact lifts the exact engine's cap on --n-max.
 Conventions: data goes to stdout, summaries and diagnostics to stderr.
 Exit codes: 0 success, 1 usage or validation error, 2 verification
-failure.  All randomness flows through an explicit --seed (the default is
-a fixed constant, never the clock), so identical invocations produce
-byte-identical output.
+failure.  All randomness flows through an explicit --seed S (decimal or
+0x-hex; the default is a fixed constant, never the clock), so identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
+from types import SimpleNamespace
 
 # Each command imports the engine it runs (and json, where it prints JSON)
 # inside its own body, so a process loads only what its command uses.
@@ -37,20 +39,6 @@ EXIT_VERIFY_FAILED = 2
 SCHEMA_VERSION = 1
 
 TRIALS_CSV_HEADER = "seed,trial,n,X,ratio"
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse with the exit-code contract: usage errors exit 1."""
-
-    def error(self, message: str):
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-    def _get_values(self, action, arg_strings):
-        # keep the sign word "--", which argparse drops as the options marker
-        if action.dest == "pattern":
-            return arg_strings[0]
-        return super()._get_values(action, arg_strings)
 
 
 def _parse_seed(text: str) -> int:
@@ -210,80 +198,90 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="cyclolcm",
-        description="growth constants of log lcm(a + s1, ..., a^n + sn) for +-1 shifts",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("constant", help="exact growth constant of a pattern")
-    p.add_argument("--pattern", required=True, help="sign word over '-' and '+'")
-    p.add_argument("--explain", action="store_true", help="include the cover provenance")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=cmd_constant)
-
-    p = sub.add_parser("table", help="constants for all words up to a period")
-    p.add_argument(
-        "--max-period", type=int, choices=range(1, 9), required=True, metavar="MAX_PERIOD"
-    )
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("growth", help="empirical growth series as CSV")
-    p.add_argument("--base", type=int, required=True)
-    shifts = p.add_mutually_exclusive_group(required=True)
-    shifts.add_argument("--pattern")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--step", type=int, default=1)
-    p.add_argument("--exact", action="store_true", help="run the exact lcm engine")
-    p.add_argument("--force-exact", action="store_true", help="lift the exact-engine cap")
-    shifts.add_argument("--random", action="store_true", help="random shifts instead of a pattern")
-    p.add_argument("--seed", default=str(DEFAULT_SEED), help="decimal or 0x-hex")
-    p.set_defaults(func=cmd_growth)
-
-    p = sub.add_parser("random", help="Monte Carlo trials of the random model")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", default=str(DEFAULT_SEED), help="decimal or 0x-hex")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_random)
-
-    p = sub.add_parser("expect", help="expected totient-sum value E[X]")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--exact", action="store_true")
-    p.set_defaults(func=cmd_expect)
-
-    p = sub.add_parser("verify", help="run a named self-verification suite")
-    p.add_argument("--suite", required=True)
-    p.set_defaults(func=cmd_verify)
-
-    return parser
+# Each command's handler and flags, --flag -> (kind, default).  A kind is int,
+# str, bool (a switch) or a tuple of accepted values; a default of None makes
+# the flag required.  growth takes exactly one of _ONE_OF.
+_COMMANDS = {
+    "constant": (cmd_constant, {"--pattern": (str, None), "--explain": (bool, False),
+                                "--format": (("table", "json"), "table")}),
+    "table": (cmd_table, {"--max-period": (tuple(range(1, 9)), None),
+                          "--format": (("table", "json"), "table")}),
+    "growth": (cmd_growth, {"--base": (int, None), "--pattern": (str, ""),
+                            "--n-max": (int, None), "--step": (int, 1), "--exact": (bool, False),
+                            "--force-exact": (bool, False), "--random": (bool, False),
+                            "--seed": (str, str(DEFAULT_SEED))}),
+    "random": (cmd_random, {"--n": (int, None), "--trials": (int, None),
+                            "--seed": (str, str(DEFAULT_SEED)),
+                            "--format": (("csv", "json"), "csv")}),
+    "expect": (cmd_expect, {"--n": (int, None), "--exact": (bool, False)}),
+    "verify": (cmd_verify, {"--suite": (str, None)}),
+}
+_ONE_OF = ("--pattern", "--random")
 
 
-def _merge_pattern_values(argv: list[str]) -> list[str]:
-    """Fold `--pattern VALUE` into `--pattern=VALUE`.
+def _refuse(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
 
-    Pattern strings start with '-' or '+', which argparse would otherwise
-    read as option flags (_Parser keeps a value of "--").
-    """
-    merged = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--pattern" and i + 1 < len(argv):
-            merged.append(f"--pattern={argv[i + 1]}")
-            i += 2
-        else:
-            merged.append(argv[i])
-            i += 1
-    return merged
+
+def _value(name: str, kind, text: str):
+    """`text` read as int or str, or as one of a tuple of accepted values."""
+    convert = type(kind[0]) if isinstance(kind, tuple) else kind
+    try:
+        value = convert(text)
+    except ValueError:
+        _refuse(f"argument {name}: invalid {convert.__name__} value: {text!r}")
+    if convert is not kind and value not in kind:
+        choices = ", ".join(map(repr, kind))
+        _refuse(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+    return value
+
+
+def _parse(argv: list[str]):
+    """The handler and flag values of `COMMAND --flag value ...`.  A valued
+    flag takes the next token as it is, so `--pattern --` reads the sign word
+    "--".  A refusal prints one `error:` line and exits 1."""
+    if argv[:1] in (["-h"], ["--help"]):
+        print(__doc__.partition("\n\n")[2], end="")
+        raise SystemExit(EXIT_OK)
+    if not argv:
+        _refuse("the following arguments are required: command")
+    handler, flags = _COMMANDS[_value("command", tuple(_COMMANDS), argv[0])]
+    values, extras = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _parse([token])  # the text `cyclolcm --help` prints
+        name, eq, text = token.partition("=")
+        if name not in flags:
+            extras.append(token)
+            continue
+        kind = flags[name][0]
+        if kind is bool and eq:
+            _refuse(f"argument {name}: ignored explicit argument {text!r}")
+        if kind is not bool and not eq and (text := next(tokens, None)) is None:
+            _refuse(f"argument {name}: expected one argument")
+        values[name] = True if kind is bool else _value(name, kind, text)
+        if name in _ONE_OF and (other := _ONE_OF[1 - _ONE_OF.index(name)]) in values:
+            _refuse(f"argument {name}: not allowed with argument {other}")
+    if extras:  # before a missing flag, which a misspelt one would be
+        _refuse(f"unrecognized arguments: {' '.join(extras)}")
+    missing = [name for name, (_, default) in flags.items()
+               if default is None and name not in values]
+    if missing:
+        _refuse(f"the following arguments are required: {', '.join(missing)}")
+    if _ONE_OF[1] in flags and values.keys().isdisjoint(_ONE_OF):
+        _refuse(f"one of the arguments {' '.join(_ONE_OF)} is required")
+    return handler, SimpleNamespace(**{
+        name[2:].replace("-", "_"): values.get(name, default)
+        for name, (_, default) in flags.items()
+    })
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_merge_pattern_values(list(sys.argv[1:] if argv is None else argv)))
+    handler, args = _parse(list(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        return handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

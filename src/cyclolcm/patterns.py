@@ -81,6 +81,7 @@ class SignPattern(_SignPatternFields):
 
     def shifts(self, n: int) -> list[int]:
         """First n shifts s_1..s_n."""
+        _check_int("n", n)
         return list(itertools.islice(itertools.cycle(self.word), n))
 
     def __str__(self) -> str:
@@ -113,6 +114,7 @@ def all_sign_words(max_period: int) -> list[str]:
     Lexicographic with '-' before '+' (the numeric order of the shifts),
     shorter words first.
     """
+    _check_int("max_period", max_period)
     return [
         "".join(word)
         for length in range(1, max_period + 1)

@@ -18,7 +18,7 @@ from cyclolcm.cyclotomic import (
     totient_sieve,
 )
 from cyclolcm.growth import _check_growth_args
-from cyclolcm.patterns import parse_pattern, random_shifts, subseed
+from cyclolcm.patterns import SignPattern, all_sign_words, parse_pattern, random_shifts, subseed
 from cyclolcm.stochastic import (
     _indicator_counts,
     expected_X,
@@ -44,6 +44,8 @@ CONTRACTS = [
     (_indicator_counts, (3,), [(0, "n", 1)]),
     (random_shifts, (1, 5), [(0, "seed", 0), (1, "n", 1)]),
     (subseed, (1, 3), [(0, "seed", 0), (1, "trial_index", 0)]),
+    (SignPattern.shifts, (parse_pattern("-+"), 3), [(1, "n", 1)]),
+    (all_sign_words, (2,), [(0, "max_period", 1)]),
     (cover_members, (ProgressionCover(2, {1: Fraction(1)}), 5), [(1, "x", 1)]),
     (oracle_L, (parse_pattern("-"), 5), [(1, "n", 1)]),
     (ProgressionCover, (4, {}), [(0, "modulus", 1)]),

@@ -4,6 +4,7 @@ import gc
 import importlib
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -40,8 +41,9 @@ def run_cli(*args):
 
 
 # Runs `cli.main` on argv[1:] (only `import cyclolcm` when empty), then
-# prints which of dataclasses, fractions, inspect, json and numpy got
-# loaded and, on a second line, the sorted cyclolcm submodules that did.
+# prints which of argparse, dataclasses, fractions, gettext, inspect, json
+# and numpy got loaded and, on a second line, the sorted cyclolcm
+# submodules that did.
 LOAD_PROBE = """
 import contextlib, io, sys
 import cyclolcm
@@ -49,7 +51,7 @@ if sys.argv[1:]:
     from cyclolcm import cli
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(sys.argv[1:]) == 0
-LIBRARIES = ("dataclasses", "fractions", "inspect", "json", "numpy")
+LIBRARIES = ("argparse", "dataclasses", "fractions", "gettext", "inspect", "json", "numpy")
 print(" ".join(m for m in LIBRARIES if m in sys.modules))
 print(" ".join(sorted(m for m in sys.modules if m.startswith("cyclolcm."))))
 """
@@ -98,6 +100,12 @@ def test_no_command_loads_dataclasses_or_inspect(args, loads_numpy):
     libraries = probe_loads(args)[0]
     assert "dataclasses" not in libraries
     assert loads_numpy or "inspect" not in libraries
+
+
+@LOAD_CASES
+def test_no_command_loads_argparse_or_gettext(args, loads_numpy):
+    # the flags are read from cli._COMMANDS; numpy loads neither module either
+    assert probe_loads(args)[0].isdisjoint({"argparse", "gettext"})
 
 
 @pytest.mark.parametrize(
@@ -252,7 +260,7 @@ def test_growth_usage_errors():
     assert run_cli("growth", "--base", "2", "--n-max", "10").returncode == 1
 
 
-# Each refusal exits 1, prints nothing on stdout and names its value on stderr.
+# Each refusal exits 1, prints nothing on stdout and one line on stderr naming its value.
 REFUSALS = {
     "growth-step-0": (
         ["growth", "--base", "2", "--pattern", "-", "--n-max", "10", "--step", "0"],
@@ -271,16 +279,45 @@ REFUSALS = {
     "expect-n-0": (["expect", "--n", "0"], "n must be >= 1, got 0"),
     "expect-exact-n-0": (["expect", "--n", "0", "--exact"], "n must be >= 1, got 0"),
     "table-max-period-0": (["table", "--max-period", "0"], "invalid choice: 0"),
-    "table-max-period-9": (["table", "--max-period", "9"], "invalid choice: 9"),
+    "table-max-period-9": (
+        ["table", "--max-period", "9"],
+        "argument --max-period: invalid choice: 9 (choose from 1, 2, 3, 4, 5, 6, 7, 8)",
+    ),
     "growth-random-without-exact": (
         ["growth", "--base", "2", "--random", "--n-max", "10"],
         "error: --random requires --exact (no cover for random shifts)",
     ),
+    "no-command": ([], "error: the following arguments are required: command"),
+    "unknown-command": (
+        ["frob"],
+        "error: argument command: invalid choice: 'frob' (choose from 'constant', 'table', "
+        "'growth', 'random', 'expect', 'verify')",
+    ),
+    "growth-n-max-missing": (
+        ["growth", "--base", "2", "--pattern", "-"],
+        "error: the following arguments are required: --n-max",
+    ),
+    "expect-n-without-value": (["expect", "--n"], "error: argument --n: expected one argument"),
+    "expect-n-not-an-int": (["expect", "--n", "x"], "error: argument --n: invalid int value: 'x'"),
+    "expect-exact-with-value": (
+        ["expect", "--n", "3", "--exact=1"],
+        "error: argument --exact: ignored explicit argument '1'",
+    ),
+    "random-format-xml": (
+        ["random", "--n", "3", "--trials", "2", "--format", "xml"],
+        "error: argument --format: invalid choice: 'xml' (choose from 'csv', 'json')",
+    ),
+    "growth-neither-pattern-nor-random": (
+        ["growth", "--base", "2", "--n-max", "10"],
+        "error: one of the arguments --pattern --random is required",
+    ),
+    # flags match by full name only: no abbreviation stands for --max-period
+    "table-abbreviated-flag": (["table", "--max", "3"], "error: unrecognized arguments: --max 3"),
 }
 
 
 def exit_code(argv):
-    # argparse's refusals raise SystemExit; a command's ValueError returns 1
+    # the flag reader's refusals raise SystemExit; a command's ValueError returns 1
     try:
         return main(argv)
     except SystemExit as exc:
@@ -293,6 +330,20 @@ def test_refusals_exit_one_and_name_the_value(argv, named, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert named in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], ["growth", "--help"]], ids=["h", "help", "growth-help"]
+)
+def test_help_lists_every_command_with_exactly_its_flags(argv):
+    out = run_cli(*argv)
+    assert (out.returncode, out.stderr) == (0, "")
+    # a command's usage line and the lines indented under it
+    usage = dict(re.findall(r"^    (\w+) +(.*(?:\n {14}.*)*)", out.stdout, re.M))
+    assert usage.keys() == cli_module._COMMANDS.keys()
+    for command, (_, flags) in cli_module._COMMANDS.items():
+        assert set(re.findall(r"--[\w-]+", usage[command])) == flags.keys(), command
 
 
 def test_growth_refuses_bad_base_before_drawing_shifts(monkeypatch, capsys):
@@ -317,7 +368,7 @@ def test_growth_force_exact_requires_exact(capsys):
 
 
 def test_every_short_word_is_a_pattern_value(capsys):
-    # "--" included, which argparse would otherwise drop as the options marker
+    # "--" included: a valued flag takes the next token as it is, even "--"
     from cyclolcm.constants import growth_constant
     from cyclolcm.patterns import all_sign_words, parse_pattern
 
