@@ -142,14 +142,20 @@ def _mix64(x: int | np.ndarray) -> int | np.ndarray:
 
     Exact on a Python int and on a uint64 array alike: each add and
     multiply is reduced mod 2^64, which on the array is the wraparound
-    numpy already does.
+    numpy already does.  The steps are augmented assignments, so on the
+    array every one after the first add works in place (only the shifts
+    make temporaries) and `x` is left as it is.
     """
-    z = (x + _GOLDEN) & _MASK64
+    z = x + _GOLDEN
+    z &= _MASK64
     z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+    z *= 0xBF58476D1CE4E5B9
+    z &= _MASK64
     z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+    z *= 0x94D049BB133111EB
+    z &= _MASK64
+    z ^= z >> 31
+    return z
 
 
 def _check_seed(seed: int) -> None:

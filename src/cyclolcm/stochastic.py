@@ -13,7 +13,10 @@ E[X] ~ (6/pi^2) * Li2(1/2) * n^2 and variance O(n^3), which Chebyshev
 turns into concentration.
 
 Everything here is either an exact rational (Fraction, denominators powers
-of two) or a reproducible seeded simulation.  For n <= EXHAUSTIVE_CAP
+of two), a correctly rounded float of one, or a reproducible seeded
+simulation.  E[X] needs the totient sums Phi(x) = sum_{f<=x} phi(f) only at
+the floor keys n // k (expected_X), so it runs in pure Python with no
+per-d loop and no array.  For n <= EXHAUSTIVE_CAP
 the module can enumerate all 2^n shift words outright; that exhaustive
 oracle is what the tests and `verify --suite stochastic-oracle` use to
 adjudicate the expectation formulas, floors and all.  The indicator tables hold each set
@@ -24,10 +27,11 @@ with no array library involved.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .cyclotomic import _check_int, _v2, divisor_set, totient, totient_sieve
+from .cyclotomic import _check_int, _v2, divisor_set, totient_sieve
 
 if TYPE_CHECKING:  # numpy and fractions load only in the functions that build them
     from fractions import Fraction
@@ -116,12 +120,91 @@ def pair_expectation(n: int, d1: int, d2: int) -> Fraction:
     return fractions.Fraction((1 << top) - (1 << top - e1) - (1 << top - e2) + joint, 1 << top)
 
 
+def _totient_sums(n: int) -> dict[int, int]:
+    """{v: Phi(v)} at every floor key v = n // k of n, Phi(v) = sum_{f<=v} phi(f).
+
+    phi is sieved on a list up to about n^(2/3) / 2, where Phi is a prefix
+    sum.  Each larger key v = n // k, taken in increasing order, comes from
+
+        sum_{g=1..v} Phi(v // g) = v(v+1)/2
+
+    (sum the divisor identity sum_{d|m} phi(d) = m over m <= v).  Every
+    v // g = n // (kg) is a smaller key, already known; the g > v // (s+1),
+    s = isqrt(v), have v // g = q <= s and are summed over q with weight
+    phi(q) * (v // q), by parts.  About 2 * n^(2/3) steps in all, the
+    scheme of Deleglise and Rivat for the Mertens function.
+    """
+    limit = max(math.isqrt(n), int(n ** (2 / 3)) // 2)
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:
+            phi[p::p] = [x - x // p for x in phi[p::p]]
+    prefix = list(itertools.accumulate(phi))
+    sums = {}
+    for k in range(n // (limit + 1), 0, -1):  # the keys above limit, increasing
+        v = n // k
+        s = math.isqrt(v)
+        total = v * (v + 1) // 2 + prefix[s] * (v // (s + 1))
+        total -= sum([p * (v // q) for q, p in enumerate(phi[1 : s + 1], 1)])
+        for g in range(2, v // (s + 1) + 1):
+            w = v // g
+            total -= prefix[w] if w <= limit else sums[w]
+        sums[v] = total
+    for k in range(1, math.isqrt(n) + 1):  # every v <= isqrt(n) is a key
+        sums[k] = prefix[k]
+        if n // k <= limit:
+            sums[n // k] = prefix[n // k]
+    return sums
+
+
+def _scaled_expectation(n: int, sums: dict[int, int], terms: int) -> int:
+    """2^terms * (2 Phi(n) - 2 sum_{q<=terms} 2^-q dPhi_q), an int, with
+    dPhi_q = Phi(n // q) - Phi(n // (q+1)): E[X] scaled by 2^terms, less
+    the q > terms.  dPhi_q is nonzero only at the last q of each block of
+    equal n // q, so the sum runs over keys, Horner-style from q = 1.
+    """
+    acc = last = 0
+    k = 1
+    while k <= n:
+        v = n // k
+        q = n // v  # the last q with n // q == v
+        if q > terms:
+            break
+        acc = (acc << (q - last)) + sums[v] - sums.get(n // (q + 1), 0)
+        last, k = q, q + 1
+    return (sums[n] << (terms + 1)) - (acc << (terms - last + 1))
+
+
+def _rounded_expectation(n: int, sums: dict[int, int], terms: int = 64) -> float:
+    """E[X] correctly rounded to a float.
+
+    The q > terms add up to at most 2^-terms * Phi(n // (terms+1)) to
+    2 sum_q 2^-q dPhi_q, so E[X] * 2^terms lies in [top - tail, top].  If
+    both ends round to one float (int / int rounds correctly), E[X] does
+    too; otherwise terms doubles.  At terms >= n the tail is 0.
+    """
+    while True:
+        top = _scaled_expectation(n, sums, terms)
+        tail = sums.get(n // (terms + 1), 0)
+        value = top / (1 << terms)
+        if (top - tail) / (1 << terms) == value:
+            return value
+        terms *= 2
+
+
 def expected_X(n: int, mode: str = "exact") -> Fraction | float:
     """E[X] = sum_{d <= 2n} phi(d) * (1 - 2^-floor(n*gcd(2,d)/d)).
 
-    mode="exact" returns the Fraction (denominator a power of two up to
-    2^n, hence the cap) and takes each phi(d) from totient(d), building no
-    array; mode="float" sums in float64 over a sieve and scales to any n.
+    An odd d > n has exponent 0, and an even d = 2f has exponent n // f,
+    with phi(2f) + [f odd] phi(f) = 2 phi(f), so
+
+        E[X] = 2 sum_{f<=n} phi(f) (1 - 2^-(n//f))
+             = 2 Phi(n) - 2 sum_q 2^-q (Phi(n // q) - Phi(n // (q+1))),
+
+    Phi(x) = sum_{f<=x} phi(f), read only at the floor keys of n
+    (_totient_sums).  mode="exact" returns the Fraction (denominator a
+    power of two up to 2^n, hence the cap); mode="float" returns E[X]
+    correctly rounded, at any n, from the first q alone.
     """
     _check_int("n", n)
     if mode not in ("exact", "float"):
@@ -131,30 +214,12 @@ def expected_X(n: int, mode: str = "exact") -> Fraction | float:
             f"exact mode limited to n <= {EXACT_EXPECTATION_CAP} (denominators "
             f"reach 2^n); requested n={n}, use mode='float'"
         )
+    sums = _totient_sums(n)
     if mode == "float":
-        import numpy as np
-
-        phi = totient_sieve(2 * n)
-        d = np.arange(1, 2 * n + 1)
-        # [d - 1]: floor(n*gcd(2,d)/d), that is n // d for odd d and 2n // d for even d
-        exponent = np.empty(2 * n, dtype=np.int64)
-        np.floor_divide(n, d[::2], out=exponent[::2])
-        np.floor_divide(2 * n, d[1::2], out=exponent[1::2])
-        terms = phi[1:] * (1.0 - np.ldexp(1.0, -exponent))
-        # cumsum adds left to right, as a Python loop would; np.sum is
-        # pairwise and may differ in the last bit.
-        return float(np.cumsum(terms)[-1])
+        return _rounded_expectation(n, sums)
     import fractions
 
-    # The exponent is n at d = 1 and d = 2 and below n elsewhere, so 2^n is
-    # the one shared denominator.
-    phi_total = 0
-    numerator = 0
-    for d in range(1, 2 * n + 1):
-        phi_d = totient(d)
-        phi_total += phi_d
-        numerator += phi_d << (n - _floor_exponent(n, d))
-    return phi_total - fractions.Fraction(numerator, 1 << n)
+    return fractions.Fraction(_scaled_expectation(n, sums, n), 1 << n)
 
 
 def _coprime_pairs_upto(limit: int):

@@ -81,7 +81,7 @@ LOAD_CASES = pytest.mark.parametrize(
           "--step", "20"], False),
         (["random", "--n", "50", "--trials", "2"], True),
         (["expect", "--n", "50", "--exact"], False),
-        (["expect", "--n", "50"], True),
+        (["expect", "--n", "50"], False),
     ],
     ids=["import", "constant", "table", "verify-table1", "verify-cover-oracle",
          "verify-cyclotomic", "verify-stochastic-oracle", "growth-exact",
@@ -433,6 +433,9 @@ def test_expect_values():
     assert out.stdout.strip() == "19/4"
     out = run_cli("expect", "--n", "3")
     assert float(out.stdout) == pytest.approx(4.75)
+    # the benchmark's two floats, correctly rounded, keep their bytes
+    assert run_cli("expect", "--n", "100000").stdout == "3539623112.8619623\n"
+    assert run_cli("expect", "--n", "300").stdout == "31912.18784197274\n"
     assert run_cli("expect", "--n", "3000", "--exact").returncode == 1
 
 

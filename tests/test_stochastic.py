@@ -142,6 +142,14 @@ def test_disjoint_index_sets_factorize():
         assert pair_expectation(n, d1, d2) == product, (n, d1, d2)
 
 
+def expected_x_by_d(n):
+    """The defining sum over every d <= 2n, one totient per d: the oracle."""
+    total = 0
+    for d in range(1, 2 * n + 1):
+        total += totient(d) * (1 - Fraction(1, 2 ** (n * math.gcd(2, d) // d)))
+    return total
+
+
 def test_expected_x_small_values():
     assert expected_X(1) == 1
     assert expected_X(3) == Fraction(19, 4)
@@ -149,15 +157,47 @@ def test_expected_x_small_values():
     assert abs(expected_X(100, "float") - float(expected_X(100))) < 1e-6
 
 
-def test_expected_x_float_is_left_to_right_sum():
-    # the float sum must keep the bits of a sequential loop over d, at
-    # every n <= 300 and beyond; at n = 2720 and 3388 a pairwise sum
-    # differs in the last bit
-    for n in (*range(1, 301), 1000, 2720, 3388, 12345):
-        total = 0.0
-        for d in range(1, 2 * n + 1):
-            total += float(totient(d)) * (1.0 - 2.0 ** -(n * math.gcd(2, d) // d))
-        assert expected_X(n, "float") == total, n
+@pytest.mark.parametrize("ns", [range(1, 301), (10**4, 99_991, 10**5)], ids=["small", "large"])
+def test_totient_sums_are_prefix_sums_at_every_floor_key(ns):
+    prefix = np.cumsum(totient_sieve(max(ns)))
+    for n in ns:
+        sums = stochastic._totient_sums(n)
+        assert set(sums) == {n // k for k in range(1, n + 1)}, n
+        assert all(sums[v] == prefix[v] for v in sums), n
+
+
+def test_expected_x_exact_is_the_sum_over_d():
+    for n in (*range(1, 301), 777, 1000, 2000):
+        assert expected_X(n) == expected_x_by_d(n), n
+
+
+def test_expected_x_float_is_the_rounded_exact_value():
+    # correctly rounded, not the bits of some summation order: a loop over
+    # d adding floats left to right misrounds 354 of these n (86 the first)
+    for n in range(1, 2001):
+        assert expected_X(n, "float") == float(expected_X(n)), n
+
+
+def test_expected_x_float_matches_a_sieve_sum():
+    # an independent exact E[X]: phi from the sieve, grouped by exponent
+    # with one bincount, so beyond the exact mode's cap
+    phi = totient_sieve(2 * 10**6)
+    rng = np.random.default_rng(20211)
+    for n in (10**5, 10**6, *rng.integers(2, 10**6, size=5).tolist()):
+        d = np.arange(1, 2 * n + 1)
+        exponent = np.where(d % 2 == 0, 2 * n // d, n // d)
+        weights = np.bincount(exponent, weights=phi[1 : 2 * n + 1])  # sums < 2^53: exact
+        missed = sum(int(w) << (n - e) for e, w in enumerate(weights.tolist()) if w)
+        exact = (int(phi[1 : 2 * n + 1].sum()) << n) - missed
+        assert expected_X(n, "float") == exact / (1 << n), n  # int / int rounds correctly
+
+
+def test_rounded_expectation_widens_until_the_ends_agree():
+    # from one term the tail bound spans many floats, so the loop must
+    # double the terms, up to the exact sum at terms >= n
+    for n in (*range(1, 60), 300, 2000):
+        sums = stochastic._totient_sums(n)
+        assert stochastic._rounded_expectation(n, sums, terms=1) == float(expected_X(n)), n
 
 
 def test_expected_x_validation():
@@ -175,13 +215,15 @@ def test_expected_x_validation():
 
 
 def test_expected_x_refuses_before_the_sieve(monkeypatch):
-    # a refused exact request allocates nothing: the sieve is never built
-    def no_sieve(limit):
-        raise AssertionError(f"totient_sieve({limit}) built before the cap check")
+    # a refused exact request computes no floor key
+    def no_sums(n):
+        raise AssertionError(f"_totient_sums({n}) computed before the cap check")
 
-    monkeypatch.setattr(stochastic, "totient_sieve", no_sieve)
+    monkeypatch.setattr(stochastic, "_totient_sums", no_sums)
     with pytest.raises(ValueError, match="exact mode limited"):
         expected_X(EXACT_EXPECTATION_CAP + 1, "exact")
+    with pytest.raises(AssertionError, match="computed before"):
+        expected_X(EXACT_EXPECTATION_CAP, "exact")
 
 
 def test_oracle_L_rejects_bad_shifts():
