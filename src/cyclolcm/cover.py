@@ -30,7 +30,7 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .cyclotomic import _check_int, divisor_set
+from .cyclotomic import _check_int, _entry_masks
 from .patterns import SignPattern, _shift_list
 
 __all__ = [
@@ -147,37 +147,13 @@ def cover_members(cover: ProgressionCover, x: int) -> list[int]:
     return sorted(d for d, _ in _cover_entry_masks([cover], x))
 
 
-def _entry_masks(batch: Sequence[Sequence[int]], n: int) -> dict[tuple[int, int], int]:
-    """{(d, k): mask of the words i (bit i) of batch in whose literal union
-    d first enters at k}, over k <= n.
-
-    One walk over k serves every word: the words reading -1 at k form one
-    mask, the rest another, and divisor_set(k, s) is fetched once for
-    each s that some word reads at k.
-    """
-    every = (1 << len(batch)) - 1
-    entered = [0] * (2 * n + 1)
-    masks: dict[tuple[int, int], int] = {}
-    bit = {-1: "1", 1: "0"}.__getitem__
-    # column k holds s_k of each word, the last word first: word i is bit i
-    for k, column in zip(range(1, n + 1), zip(*reversed(batch))):
-        minus = int("".join(map(bit, column)), 2)
-        for shift, mask in ((-1, minus), (1, every ^ minus)):
-            if mask:
-                for d in divisor_set(k, shift):
-                    new = mask & ~entered[d]
-                    if new:
-                        masks[d, k] = new
-                        entered[d] |= new
-    return masks
-
-
 def oracle_L(shifts: SignPattern | Sequence[int], n: int) -> list[int]:
     """Brute-force union of divisor_set(k, s_k) for k <= n, sorted.
 
     The independent oracle for the cover calculus: no progressions, just
-    the literal definition, read as the d of a one-word _entry_masks
-    batch.  Accepts a pattern or an explicit shift list of length >= n.
+    the literal union L(n) of the one word s_1..s_n, read as the d of
+    cyclotomic._entry_masks given that word's masks (bit 0 set where
+    s_k = -1).  Accepts a pattern or an explicit shift list of length >= n.
     """
     _check_int("n", n)
-    return sorted(d for d, _ in _entry_masks([_shift_list(shifts, n)], n))
+    return sorted(d for d, _ in _entry_masks([int(s == -1) for s in _shift_list(shifts, n)], 1))

@@ -8,6 +8,8 @@ a^n + s for a shift s in {-1, +1} is
     s = +1:  divisors of 2n that do not divide n   (all even),
 
 so that a^n + s factors over it as a product of cyclotomic values.
+Beside them, _entry_masks walks the literal divisor-set union of a batch of
+shift words: the one brute-force reference of the cover and random-model oracles.
 
 Factorizations come from trial division.  They and the sorted divisor
 tuples are memoised with functools.cache, as both are read again for the
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # at run time numpy loads only in the functions that build arrays
     import numpy as np
@@ -158,6 +160,24 @@ def divisor_set(k: int, shift: int) -> list[int]:
         return divisors(k)
     v = _v2(k)
     return [d << (v + 1) for d in _divisor_tuple(k >> v)]
+
+
+def _entry_masks(minus: Sequence[int], every: int) -> dict[tuple[int, int], int]:
+    """{(d, k): mask of the words (bit i = word i) in whose literal union
+    d first enters at k}, for k <= len(minus).  minus[k-1] masks the words
+    reading -1 at k; the rest of `every` read +1.  One walk over k serves
+    every word, fetching divisor_set(k, s) once per s that some word reads."""
+    entered = [0] * (2 * len(minus) + 1)
+    masks: dict[tuple[int, int], int] = {}
+    for k, mask in enumerate(minus, 1):
+        for shift, words in ((-1, mask), (1, every ^ mask)):
+            if words:
+                for d in divisor_set(k, shift):
+                    new = words & ~entered[d]
+                    if new:
+                        masks[d, k] = new
+                        entered[d] |= new
+    return masks
 
 
 def cyclotomic_value(n: int, a: int) -> int:

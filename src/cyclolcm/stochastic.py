@@ -19,10 +19,10 @@ the floor keys n // k (expected_X), so it runs in pure Python with no
 per-d loop and no array.  For n <= EXHAUSTIVE_CAP
 the module can enumerate all 2^n shift words outright; that exhaustive
 oracle is what the tests and `verify --suite stochastic-oracle` use to
-adjudicate the expectation formulas, floors and all.  The indicator tables hold each set
-of words as one Python int of 2^n bits (bit w for word w), so the literal
-union is a handful of big-integer ORs per k and every count a popcount,
-with no array library involved.
+adjudicate the expectation formulas, floors and all.  Its indicator tables
+read the literal union L(n) from cyclotomic._entry_masks, the walk that the
+cover oracle reads too, for all 2^n words at once: a set of words is one
+Python int of 2^n bits (bit w for word w), and every count a popcount.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .cyclotomic import _check_int, _v2, divisor_set, totient_sieve
+from .cyclotomic import _check_int, _entry_masks, _v2, totient_sieve
 
 if TYPE_CHECKING:  # numpy and fractions load only in the functions that build them
     from fractions import Fraction
@@ -338,30 +338,22 @@ def _indicator_counts(n: int) -> tuple[dict[int, int], dict[tuple[int, int], int
     holds d}, {(d1, d2): #words whose union holds both}) over the 2^n words.
 
     A set of words is an int of 2^n bits, bit w standing for word w (bit
-    k-1 of w set means s_k = +1).  plus[k], the words with s_k = +1, is
-    the 2^k-bit block of 2^(k-1) zeros then 2^(k-1) ones, doubled up to
-    2^n bits; minus[k] is its complement.  member[d], the words whose
-    union holds d, is the literal union over k <= n of minus[k] for d in
-    divisor_set(k, -1) and plus[k] for d in divisor_set(k, +1).  Counts
-    are popcounts of member[d] and of member[d1] & member[d2].
+    k-1 of w set means s_k = +1), so the words with s_k = -1 are the low
+    2^(k-1) bits of each 2^k-bit block.  member[d], the words whose literal
+    union L(n) holds d, ORs the masks cyclotomic._entry_masks gives d at
+    its entry times.  Counts are popcounts of member[d] and of
+    member[d1] & member[d2].
     """
     _check_int("n", n)
     if n > EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive mode requires n <= {EXHAUSTIVE_CAP}, got {n}")
-    size = 1 << n
-    every = (1 << size) - 1
+    minus, rep = [], 1  # rep: a bit at each multiple of 2^k, from k = n (bit 0 only) down
+    for h in (1 << j for j in reversed(range(n))):  # h = 2^(k-1)
+        minus.append((rep << h) - rep)  # rep * (2^h - 1): the low h bits of each 2^k
+        rep |= rep << h
     member = [0] * (2 * n + 1)
-    for k in range(1, n + 1):
-        h = 1 << (k - 1)
-        plus, width = ((1 << h) - 1) << h, 2 * h
-        while width < size:
-            plus |= plus << width
-            width *= 2
-        minus = every ^ plus
-        for d in divisor_set(k, -1):
-            member[d] |= minus
-        for d in divisor_set(k, 1):
-            member[d] |= plus
+    for (d, _), words in _entry_masks(minus[::-1], rep).items():  # rep at k = 0: every word
+        member[d] |= words
     ds = range(1, 2 * n + 1)
     singles = {d: member[d].bit_count() for d in ds}
     pairs = {(d1, d2): (member[d1] & member[d2]).bit_count() for d1 in ds for d2 in ds}

@@ -28,7 +28,9 @@ imports only the modules it runs.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
@@ -142,9 +144,14 @@ def _cover_matches_oracle(patterns: Sequence[SignPattern], n_max: int) -> list[t
     the least n among the pairs that only one side holds, and at that n
     they differ by the d of those pairs with that n.
     """
-    from .cover import _cover_entry_masks, _entry_masks, pattern_cover
+    from .cover import _cover_entry_masks, pattern_cover
+    from .cyclotomic import _entry_masks
 
-    oracle = _entry_masks([pattern.shifts(n_max) for pattern in patterns], n_max)
+    bit = {-1: "1", 1: "0"}.__getitem__
+    # column k holds s_k of each pattern, the last first: pattern i is bit i
+    columns = zip(*reversed([pattern.shifts(n_max) for pattern in patterns]))
+    minus = [int("".join(map(bit, column)), 2) for column in columns]
+    oracle = _entry_masks(minus, (1 << len(patterns)) - 1)
     cover = _cover_entry_masks([pattern_cover(pattern) for pattern in patterns], n_max)
     failed = 0
     for key in cover.keys() | oracle.keys():
@@ -191,9 +198,13 @@ def suite_cyclotomic() -> list[CheckResult]:
             )
             results.append(_first_failure(f"product {label} a={a} n<={n_max}", failures))
     for a in (2, 3):
+        # gcd(phi_m, phi_n) | gcd(phi_m, prod_{n<m} phi_n): one gcd clears every n < m,
+        # and only an m it does not clear is scanned pair by pair, in the same order
+        below = itertools.accumulate(map(values[a].get, range(1, gcd_max)), operator.mul)
         failures = (
             f"first failure (m, n)=({m}, {n})"
-            for m in range(2, gcd_max + 1)
+            for m, product in zip(range(2, gcd_max + 1), below)
+            if m % math.gcd(values[a][m], product)
             for n in range(1, m)
             if m % math.gcd(values[a][m], values[a][n])
         )

@@ -14,7 +14,8 @@ from cyclolcm import (
     parse_pattern,
     pattern_cover,
 )
-from cyclolcm.cover import _entry_buckets, _entry_masks
+from cyclolcm.cover import _entry_buckets
+from cyclolcm.cyclotomic import _entry_masks
 from cyclolcm.patterns import MAX_PERIOD, SignPattern
 from cyclolcm.verify import _cover_matches_oracle
 
@@ -111,7 +112,8 @@ def test_entry_rule_equals_literal_union(seq):
     # one batch with the word's complement between two copies of it: each
     # literal map is the rule's for its own word, whatever the others read
     batch = [seq, [-s for s in seq], seq]
-    masks = _entry_masks(batch, len(seq))
+    minus = [sum((s == -1) << i for i, s in enumerate(column)) for column in zip(*batch)]
+    masks = _entry_masks(minus, 0b111)
     literal = [{d: k for (d, k), mask in masks.items() if mask >> i & 1} for i in range(3)]
     rule = [{d: k for k, bucket in enumerate(_entry_buckets(w)) for d in bucket} for w in batch]
     assert literal[0] == literal[2]

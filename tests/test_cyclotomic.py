@@ -324,6 +324,29 @@ def test_cyclotomic_gcd_divides_larger_index(a):
             assert m % math.gcd(values[m], values[n]) == 0
 
 
+@pytest.mark.parametrize(
+    "a, broken, p",
+    [(2, (45, 77), 101), (2, (50,), 3), (2, (63, 64), 101), (3, (7, 30, 110), 1009)],
+)
+def test_gcd_check_names_the_first_pair_of_a_plain_scan(monkeypatch, a, broken, p):
+    # phi_n(a) times a prime p not dividing any m, at the n of `broken`: the
+    # suite's one gcd per m must find the pair a pairwise scan finds first
+    from cyclolcm.verify import suite_cyclotomic
+
+    real = cyclotomic.cyclotomic_value
+
+    def value(n, base):
+        return real(n, base) * (p if base == a and n in broken else 1)
+
+    monkeypatch.setattr(cyclotomic, "cyclotomic_value", value)
+    phi = {n: value(n, a) for n in range(1, 121)}
+    first = next((m, n) for m in range(2, 121) for n in range(1, m) if m % math.gcd(phi[m], phi[n]))
+    checks = {r.name: r for r in suite_cyclotomic()}
+    assert checks[f"gcd(phi_m, phi_n) | m a={a} m<=120"].detail == f"first failure (m, n)={first}"
+    assert not checks[f"gcd(phi_m, phi_n) | m a={a} m<=120"].ok
+    assert checks[f"gcd(phi_m, phi_n) | m a={5 - a} m<=120"].ok
+
+
 @pytest.mark.parametrize("a", [2, 3, 10])
 def test_log_cyclotomic_tracks_totient(a):
     # |log phi_n(a) - phi(n) log a| stays below 1 nat at desk scale

@@ -26,6 +26,7 @@ from cyclolcm.stochastic import (
     EXACT_EXPECTATION_CAP,
     MC_BLOCK_CELLS,
     _coprime_pairs_upto,
+    _indicator_counts,
     _union_rows,
     exhaustive_indicator_tables,
 )
@@ -88,6 +89,20 @@ def test_pair_matches_enumeration_exhaustively():
             assert singles[d] == indicator_expectation(n, d), (n, d)
         for (d1, d2), enum in pairs.items():
             assert enum == pair_expectation(n, d1, d2), (n, d1, d2)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_indicator_counts_equal_literal_unions(n):
+    # each of the 2^n words' union as a plain set of divisor_set(k, s_k),
+    # word w reading s_k = +1 where bit k-1 of w is set
+    unions = [
+        set().union(*(divisor_set(k, 1 if w >> (k - 1) & 1 else -1) for k in range(1, n + 1)))
+        for w in range(1 << n)
+    ]
+    ds = range(1, 2 * n + 1)
+    singles = {d: sum(d in u for u in unions) for d in ds}
+    pairs = {(d1, d2): sum(d1 in u and d2 in u for u in unions) for d1 in ds for d2 in ds}
+    assert _indicator_counts(n) == (singles, pairs)
 
 
 @pytest.mark.parametrize("formula", ["indicator_expectation", "pair_expectation"])
