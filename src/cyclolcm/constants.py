@@ -6,8 +6,8 @@ The density constant
                     * prod_{p | m, p not | r} (1 - 1/p^2)^-1
 
 governs totient sums over the progression r mod m.  For a periodic sign
-pattern with cover {(t, theta_t) mod 2m}, the growth constant is the exact
-rational
+pattern with cover {(t, theta_t) mod 2m}, theta_t = 2/q_t, the growth constant
+is the exact rational
 
     C = 3 * sum_t c(t, 2m) * theta_t^2 ,
 
@@ -67,15 +67,14 @@ def growth_constant(pattern: SignPattern) -> GrowthConstant:
     modulus = cover.modulus
     primes = list(_factorize(modulus))
     # c(t, M) = w_t / (M * prod_{p | M} (p^2 - 1)) with the integer
-    # w_t = prod_{p | M} (p(p - 1) if p | t else p^2); sum w_t * num(theta)^2
-    # per den(theta)^2, then over their common multiple.
+    # w_t = prod_{p | M} (p(p - 1) if p | t else p^2), and theta_t^2 = 4 / q_t^2:
+    # sum 4 * w_t per q_t^2, then over their common multiple.
     by_den: dict[int, int] = {}
-    for t, theta in cover.slopes.items():
-        w = theta.numerator**2
+    for t, q in cover.multipliers.items():
+        w = 4
         for p in primes:
             w *= p * (p - 1) if t % p == 0 else p * p
-        den = theta.denominator**2
-        by_den[den] = by_den.get(den, 0) + w
+        by_den[q * q] = by_den.get(q * q, 0) + w
     common = math.lcm(*by_den)
     total = sum(w * (common // den) for den, w in by_den.items())
     scale = modulus * math.prod(p * p - 1 for p in primes) * common

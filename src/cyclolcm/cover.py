@@ -4,14 +4,14 @@ For a periodic shift pattern s of period m, the union of the divisor sets
 D_k = divisor_set(k, s_k) over the indices k <= x is exactly a finite
 union of arithmetic progressions
 
-    { d >= 1 : d ≡ t (mod 2m), d <= theta_t * x },
+    { d >= 1 : d ≡ t (mod 2m), d <= theta_t * x },   theta_t = 2 / q_t,
 
-one slope theta_t per residue t in {1, ..., 2m} (t = 2m stands for the
-class ≡ 0).  A ProgressionCover is that family, held as its modulus 2m and
-the dict {t: theta_t}; the slopes are exact rationals and the set equality
+one slope per residue t in {1, ..., 2m} (t = 2m stands for the class ≡ 0),
+each fixed by an integer entry multiplier q_t.  A ProgressionCover is that
+family, held as its modulus 2m and the dict {t: q_t}; the set equality
 holds for every x >= 1, which oracle_L lets tests enforce literally.
 
-Why the slopes exist: the first-entry rule.  d lies in D_k iff q = 2k/d
+Why the multipliers exist: the first-entry rule.  d lies in D_k iff q = 2k/d
 is an integer with s_k = -1 for even q (d divides k) or s_k = +1 for odd q
 (2k is an odd multiple of d).  So for any word s_1..s_n, d first enters
 the union at T(d) = d*q/2 for the least such q with d*q/2 <= n; that is,
@@ -20,14 +20,14 @@ j_plus the least odd j with s_{(d/2)*j} = +1.  The exact growth engine
 applies the rule to the finite word s_1..s_n (_entry_buckets).  For a periodic word of
 period m, d ≡ t (mod 2m) gives d*q/2 ≡ t*q/2 (mod m), so every d of the
 class has the q of t, and q + 2m reads the same shift as q, so q <= 2m.
-Hence d is in the union at x iff d <= (2/q) * x: theta_t = 2/q, and t has
-no class when no q exists.
+Hence d is in the union at x iff d*q <= 2x, i.e. d <= floor(2x / q):
+theta_t = 2/q, and t has no class when no q exists.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .cyclotomic import _check_int, _entry_masks
@@ -45,43 +45,43 @@ __all__ = [
 # are in a subclass, and _make (behind _replace) goes through it.
 class _ProgressionCoverFields(NamedTuple):
     modulus: int
-    slopes: dict[int, Fraction]
+    multipliers: dict[int, int]
 
 
 class ProgressionCover(_ProgressionCoverFields):
-    """Finite union of progressions mod `modulus`, at most one per residue."""
+    """Finite union of progressions mod `modulus`, at most one per residue t: d <= 2x / q_t."""
 
     __slots__ = ()
 
-    def __new__(cls, modulus: int, slopes: dict[int, Fraction]) -> ProgressionCover:
+    def __new__(cls, modulus: int, multipliers: dict[int, int]) -> ProgressionCover:
         _check_int("modulus", modulus)
-        slopes = dict(slopes)
-        for t, theta in slopes.items():
+        multipliers = dict(multipliers)
+        for t, q in multipliers.items():
             if type(t) is not int or not 1 <= t <= modulus:
                 raise ValueError(f"residue {t} outside 1..{modulus}")
-            # 0 < theta <= 2 on integers: a Fraction's denominator is positive
-            if not 0 < theta.numerator <= 2 * theta.denominator:
-                raise ValueError(f"slope for residue {t} out of (0, 2]: {theta}")
-        return super().__new__(cls, modulus, slopes)
+            _check_int(f"multiplier for residue {t}", q)
+        return super().__new__(cls, modulus, multipliers)
 
     @classmethod
     def _make(cls, iterable) -> ProgressionCover:
         return cls(*iterable)
 
     def __hash__(self) -> int:  # equal dicts hold equal items, in any order
-        return hash((self.modulus, frozenset(self.slopes.items())))
+        return hash((self.modulus, frozenset(self.multipliers.items())))
+
+    @property
+    def slopes(self) -> dict:
+        """{t: Fraction(2, q_t)}, built on each read (perfbench/tracer.py counts it)."""
+        from fractions import Fraction
+
+        return {t: Fraction(2, q) for t, q in self.multipliers.items()}
 
     def to_json_obj(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "classes": [
-                {
-                    "t": t,
-                    "theta": {"num": th.numerator, "den": th.denominator},
-                }
-                for t, th in sorted(self.slopes.items())
-            ],
-        }
+        classes = []
+        for t, q in sorted(self.multipliers.items()):
+            g = math.gcd(2, q)  # theta_t = 2/q_t in lowest terms
+            classes.append({"t": t, "theta": {"num": 2 // g, "den": q // g}})
+        return {"modulus": self.modulus, "classes": classes}
 
 
 def _entry_multiplier(word: Sequence[int], t: int, n: int) -> int:
@@ -106,33 +106,33 @@ def _entry_buckets(seq: Sequence[int]) -> list[list[int]]:
 def pattern_cover(pattern: SignPattern) -> ProgressionCover:
     """Cover of the full index-set union for a periodic pattern.
 
-    Residue t in 1..2m has the slope 2/q of its entry multiplier q, found
+    Residue t in 1..2m has its entry multiplier q (slope 2/q), found
     among q <= 2m (indices k <= t*m); a residue with no q has no class.
     """
     word, m = pattern.word, pattern.period
-    slopes: dict[int, Fraction] = {}
+    multipliers: dict[int, int] = {}
     for t in range(1, 2 * m + 1):
         q = _entry_multiplier(word, t, t * m)
         if q:
-            slopes[t] = Fraction(2, q)
-    return ProgressionCover(2 * m, slopes)
+            multipliers[t] = q
+    return ProgressionCover(2 * m, multipliers)
 
 
 def _cover_entry_masks(covers: Sequence[ProgressionCover], x: int) -> dict[tuple[int, int], int]:
-    """{(d, ceil(d / theta_t)): mask of the covers i (bit i) holding d at x}.
+    """{(d, ceil(d*q_t / 2)): mask of the covers i (bit i) holding d at x}.
 
-    d joins a cover at the least x with d <= theta_t * x, i.e.
-    x = ceil(d / theta_t); membership at x is d <= floor(theta_t * x).
-    A class (modulus, t, theta) shared by several covers is walked once.
+    d joins a cover at the least x with d*q_t <= 2x, i.e.
+    x = ceil(d*q_t / 2); membership at x is d <= floor(2x / q_t).
+    A class (modulus, t, q) shared by several covers is walked once.
     """
-    classes: defaultdict[tuple[int, int, int, int], int] = defaultdict(int)
+    classes: defaultdict[tuple[int, int, int], int] = defaultdict(int)
     for i, cover in enumerate(covers):
-        for t, theta in cover.slopes.items():
-            classes[cover.modulus, t, theta.numerator, theta.denominator] |= 1 << i
+        for t, q in cover.multipliers.items():
+            classes[cover.modulus, t, q] |= 1 << i
     masks: defaultdict[tuple[int, int], int] = defaultdict(int)
-    for (modulus, t, num, den), mask in classes.items():
-        for d in range(t, num * x // den + 1, modulus):
-            masks[d, -(-d * den // num)] |= mask
+    for (modulus, t, q), mask in classes.items():
+        for d in range(t, 2 * x // q + 1, modulus):
+            masks[d, -(-d * q // 2)] |= mask
     return masks
 
 
@@ -140,8 +140,8 @@ def cover_members(cover: ProgressionCover, x: int) -> list[int]:
     """All d in the cover evaluated at x, sorted: the d of a one-cover
     _cover_entry_masks batch.
 
-    Membership uses the exact rational comparison d <= theta * x, i.e.
-    d <= floor(theta * x) since d is an integer.
+    Membership is the exact comparison d <= theta_t * x = 2x / q_t, i.e.
+    d <= floor(2x / q_t) since d is an integer.
     """
     _check_int("x", x)
     return sorted(d for d, _ in _cover_entry_masks([cover], x))

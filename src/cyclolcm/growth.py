@@ -234,10 +234,10 @@ def surrogate_series(
     for odd e and 2 phi(e) for even e.  The sieve is turned in place into
     prefix sums along each residue class: viewed as rows of M, entry
     [r, c - 1] becomes the sum of phi(e) over e ≡ c (mod M), e <= r*M + c.
-    An odd cover class t sums phi(e) over e ≡ t (mod M) up to
-    floor(theta_t * n); an even class t sums phi(2e) over e ≡ t/2
-    (mod M/2), so it reads the two classes t/2 and t/2 + M/2 up to
-    floor(theta_t * n) // 2.  Every e of class c has the parity of c (M is
+    An odd cover class t, slope theta_t = 2/q_t, sums phi(e) over
+    e ≡ t (mod M) up to floor(2n / q_t); an even class t sums phi(2e) over
+    e ≡ t/2 (mod M/2), so it reads the two classes t/2 and t/2 + M/2 up to
+    floor(n / q_t).  Every e of class c has the parity of c (M is
     even), so a read of class c takes the weight 2 when c is even.
 
     Each read of class c up to `limit` is the prefix over the first
@@ -257,12 +257,11 @@ def surrogate_series(
     # (numerator, denominator, c) of each read: it sums class c up to
     # limit = numerator * n // denominator
     reads = []
-    for t, theta in cover.slopes.items():
+    for t, q in cover.multipliers.items():
         if t % 2:
-            reads.append((theta.numerator, theta.denominator, t))
+            reads.append((2, q, t))
         else:
-            for c in (t // 2, t // 2 + modulus // 2):
-                reads.append((theta.numerator, 2 * theta.denominator, c))
+            reads += [(1, q, t // 2), (1, q, t // 2 + modulus // 2)]
     numerator, denominator, column = np.array(reads, dtype=np.int64).T
     column -= 1
     weight = 1 + column % 2

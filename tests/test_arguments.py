@@ -4,7 +4,6 @@ Python int with a lower bound, and anything else is refused by name."""
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -46,7 +45,7 @@ CONTRACTS = [
     (subseed, (1, 3), [(0, "seed", 0), (1, "trial_index", 0)]),
     (SignPattern.shifts, (parse_pattern("-+"), 3), [(1, "n", 1)]),
     (all_sign_words, (2,), [(0, "max_period", 1)]),
-    (cover_members, (ProgressionCover(2, {1: Fraction(1)}), 5), [(1, "x", 1)]),
+    (cover_members, (ProgressionCover(2, {1: 2}), 5), [(1, "x", 1)]),
     (oracle_L, (parse_pattern("-"), 5), [(1, "n", 1)]),
     (ProgressionCover, (4, {}), [(0, "modulus", 1)]),
 ]

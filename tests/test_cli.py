@@ -135,8 +135,10 @@ def test_json_loads_only_where_json_is_printed(args, loads_json):
         (["expect", "--n", "300"], False),
         (["expect", "--n", "300", "--exact"], True),
         (["constant", "--pattern", "--+"], True),
+        (["growth", "--exact", "--base", "2", "--random", "--seed", "7", "--n-max", "60",
+          "--step", "20"], False),
     ],
-    ids=["random", "expect-float", "expect-exact", "constant"],
+    ids=["random", "expect-float", "expect-exact", "constant", "growth-exact-random"],
 )
 def test_fractions_loads_only_where_a_fraction_is_built(args, loads_fractions):
     assert ("fractions" in probe_loads(args)[0]) == loads_fractions
@@ -540,24 +542,31 @@ def run_console_script():
 def run_python_m(monkeypatch):
     # as `python -m cyclolcm`, which has not imported cyclolcm.__main__ as a module
     monkeypatch.delitem(sys.modules, "cyclolcm.__main__", raising=False)
-    with pytest.raises(SystemExit) as exc:
-        runpy.run_module("cyclolcm", run_name="__main__")
-    return exc.value.code
+    runpy.run_module("cyclolcm", run_name="__main__")
 
 
+def exit_stub(code):
+    # os._exit as a SystemExit, so that the test process goes on
+    raise SystemExit(code)
+
+
+@pytest.mark.parametrize("ends", ["return", "raise"])  # as a command, or as a refusal
 @pytest.mark.parametrize("how", ["console-script", "python-m"])
-def test_process_entry_runs_main_without_the_collector(how, monkeypatch):
+def test_process_entry_runs_main_without_the_collector(how, ends, monkeypatch):
     collecting = []
 
     def stub():
         collecting.append(gc.isenabled())
+        if ends == "raise":
+            raise SystemExit(3)
         return 3
 
     monkeypatch.setattr(cli_module, "main", stub)
+    monkeypatch.setattr(os, "_exit", exit_stub)
     try:
-        assert (run_console_script() if how == "console-script" else run_python_m(monkeypatch)) == 3
+        with pytest.raises(SystemExit) as exc:
+            run_console_script() if how == "console-script" else run_python_m(monkeypatch)
+        assert exc.value.code == 3
         assert collecting == [False]
-        assert gc.get_freeze_count() > 0
     finally:
-        gc.unfreeze()
         gc.enable()

@@ -89,8 +89,8 @@ def test_doubling_invariance(word):
 def test_constant_recomputable_from_cover(word):
     gc = growth_constant(parse_pattern(word))
     total = sum(
-        density_c(t, gc.cover.modulus) * theta**2
-        for t, theta in gc.cover.slopes.items()
+        density_c(t, gc.cover.modulus) * Fraction(2, q) ** 2
+        for t, q in gc.cover.multipliers.items()
     )
     assert gc.C == 3 * total
     assert gc.C > 0

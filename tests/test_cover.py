@@ -26,21 +26,17 @@ def F(n, d=1):
 
 def test_single_cover_examples():
     # period-1 words constrain one residue, so their covers are single progressions
-    assert pattern_cover(parse_pattern("-")).slopes == {1: F(1), 2: F(1)}
-    assert pattern_cover(parse_pattern("+")).slopes == {2: F(2)}
+    assert pattern_cover(parse_pattern("-")).multipliers == {1: 2, 2: 2}
+    assert pattern_cover(parse_pattern("+")).multipliers == {2: 1}
 
 
 def test_pattern_cover_worked_merges():
-    assert pattern_cover(parse_pattern("-")).slopes == {1: F(1), 2: F(1)}
-    assert pattern_cover(parse_pattern("+-")).slopes == {
-        1: F(1, 2),
-        2: F(2),
-        3: F(1, 2),
-        4: F(1),
-    }
+    # multipliers q, slopes 2/q: "+-" has the slopes 1/2, 2, 1/2, 1
+    assert pattern_cover(parse_pattern("-")).multipliers == {1: 2, 2: 2}
+    assert pattern_cover(parse_pattern("+-")).multipliers == {1: 4, 2: 1, 3: 4, 4: 2}
     cover = pattern_cover(parse_pattern("--+"))
     assert cover.modulus == 6
-    assert cover.slopes == {1: F(1), 2: F(1), 4: F(1), 5: F(1), 6: F(2)}
+    assert cover.multipliers == {1: 2, 2: 2, 4: 2, 5: 2, 6: 1}
 
 
 def test_cover_members_examples():
@@ -90,9 +86,10 @@ def test_cover_equals_oracle_random_patterns(word):
     [(ok, detail)] = _cover_matches_oracle([pattern], 8 * pattern.period)
     assert ok, (word, detail)
     # an odd d never divides 2k without dividing k: odd residues have
-    # minus-side slopes 1/j only
-    for t, theta in pattern_cover(pattern).slopes.items():
-        assert 0 < theta <= (1 if t % 2 else 2)
+    # minus-side slopes 1/j only, i.e. even multipliers q = 2j
+    for t, q in pattern_cover(pattern).multipliers.items():
+        assert q >= (2 if t % 2 else 1)
+        assert q % 2 == 0 or t % 2 == 0
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -131,19 +128,19 @@ def first_mismatch_by_scan(cover, pattern, n_max):
 
 
 @pytest.mark.parametrize(
-    "word, slopes",
+    "word, multipliers",
     [
-        ("-", {1: F(2)}),  # a slope raised and a class dropped
-        ("+", {1: F(1, 3), 2: F(2)}),  # a class added
-        ("--+", {1: F(1), 2: F(1, 2), 4: F(1), 5: F(1), 6: F(2)}),  # a slope lowered
-        ("+-", {1: F(2, 3), 2: F(2), 3: F(1, 2), 4: F(1)}),  # a slope raised
-        ("-+-++", {1: F(1), 2: F(2), 3: F(1, 3), 4: F(2, 5), 6: F(2, 3), 7: F(1, 2),
-                   8: F(2), 10: F(1, 5)}),  # slopes raised and lowered, a class dropped
+        ("-", {1: 1}),  # a slope raised and a class dropped
+        ("+", {1: 6, 2: 1}),  # a class added
+        ("--+", {1: 2, 2: 4, 4: 2, 5: 2, 6: 1}),  # a slope lowered
+        ("+-", {1: 3, 2: 1, 3: 4, 4: 2}),  # a slope raised
+        ("-+-++", {1: 2, 2: 1, 3: 6, 4: 5, 6: 3, 7: 4,
+                   8: 1, 10: 10}),  # slopes raised and lowered, a class dropped
     ],
 )
-def test_cover_mismatch_detail_matches_per_n_scan(monkeypatch, word, slopes):
+def test_cover_mismatch_detail_matches_per_n_scan(monkeypatch, word, multipliers):
     pattern = parse_pattern(word)
-    bad = ProgressionCover(2 * pattern.period, slopes)
+    bad = ProgressionCover(2 * pattern.period, multipliers)
     assert bad != pattern_cover(pattern)
     monkeypatch.setattr("cyclolcm.cover.pattern_cover", lambda p: bad)
     n, detail = first_mismatch_by_scan(bad, pattern, 60)
@@ -164,8 +161,8 @@ def test_cover_mismatch_in_a_batch_reports_only_its_pattern(monkeypatch, broken)
     patterns = [parse_pattern(word) for word in BATCH_WORDS]
     target = parse_pattern(broken)
     good = pattern_cover(target)
-    t, theta = min(good.slopes.items())
-    bad = good._replace(slopes={**good.slopes, t: theta / 2})  # a slope lowered
+    t, q = min(good.multipliers.items())
+    bad = good._replace(multipliers={**good.multipliers, t: 2 * q})  # a slope lowered
     monkeypatch.setattr(
         "cyclolcm.cover.pattern_cover", lambda p: bad if p == target else pattern_cover(p)
     )
@@ -176,12 +173,25 @@ def test_cover_mismatch_in_a_batch_reports_only_its_pattern(monkeypatch, broken)
 
 
 def test_slope_ranges_and_parity():
-    for word in all_words(6):
+    # 1 <= q <= 2m, so each slope 2/q lies in [1/m, 2]
+    for word in all_words(8):
         cover = pattern_cover(SignPattern(word))
-        for t, theta in cover.slopes.items():
-            assert 0 < theta <= 2
+        for t, q in cover.multipliers.items():
+            assert 1 <= q <= cover.modulus
             if t % 2:
-                assert theta.numerator == 1, "odd residues take minus-side slopes 1/j"
+                assert q % 2 == 0, "odd residues take minus-side slopes 2/q = 1/j"
+
+
+def test_json_slopes_are_two_over_the_multiplier():
+    for word in all_words(8):
+        cover = pattern_cover(SignPattern(word))
+        slopes = {t: F(2, q) for t, q in cover.multipliers.items()}
+        assert cover.slopes == slopes
+        classes = cover.to_json_obj()["classes"]
+        assert [c["t"] for c in classes] == sorted(slopes)
+        for c in classes:
+            theta = slopes[c["t"]]
+            assert c["theta"] == {"num": theta.numerator, "den": theta.denominator}
 
 
 def test_cover_json_schema():
@@ -199,29 +209,32 @@ def test_cover_json_schema():
 
 def test_cover_validation():
     with pytest.raises(ValueError, match="residue 5 outside 1..4"):
-        ProgressionCover(4, {5: F(1)})
-    for theta in (F(0), F(-1, 2), F(5, 2), F(3)):
-        with pytest.raises(ValueError, match=r"slope for residue 1 out of \(0, 2\]"):
-            ProgressionCover(4, {1: theta})
-    assert ProgressionCover(4, {1: F(2), 2: F(1, 7)}).slopes == {1: F(2), 2: F(1, 7)}
+        ProgressionCover(4, {5: 2})
+    for q, message in ((0, "be >= 1, got 0"), (-1, "be >= 1, got -1"),
+                       (1.5, "be an int, got 1.5"), (True, "be an int, got True"),
+                       (F(1), "be an int, got Fraction(1, 1)")):
+        with pytest.raises(ValueError) as exc:
+            ProgressionCover(4, {1: q})
+        assert str(exc.value) == f"multiplier for residue 1 must {message}"
+    assert ProgressionCover(4, {1: 1, 2: 14}).multipliers == {1: 1, 2: 14}
     with pytest.raises(ValueError, match="modulus must be >= 1, got 0"):
         pattern_cover(parse_pattern("+-"))._replace(modulus=0)
     with pytest.raises(ValueError):
-        cover_members(ProgressionCover(2, {1: F(1)}), 0)
+        cover_members(ProgressionCover(2, {1: 2}), 0)
     for t in (1.5, 1.0, True, F(1)):
         with pytest.raises(ValueError, match="residue"):
-            ProgressionCover(2, {t: F(1)})
+            ProgressionCover(2, {t: 2})
 
 
 def test_cover_keeps_no_reference_to_the_callers_dict():
-    slopes = {1: F(1)}
-    cover = ProgressionCover(2, slopes)
-    slopes[3] = F(0)
-    slopes[1] = F(2)
-    assert cover.slopes == {1: F(1)}
-    assert repr(cover) == "ProgressionCover(modulus=2, slopes={1: Fraction(1, 1)})"
+    multipliers = {1: 2}
+    cover = ProgressionCover(2, multipliers)
+    multipliers[3] = 0
+    multipliers[1] = 1
+    assert cover.multipliers == {1: 2}
+    assert repr(cover) == "ProgressionCover(modulus=2, multipliers={1: 2})"
     assert cover_members(cover, 5) == [1, 3, 5]
-    other = {2: F(1)}
-    replaced = cover._replace(slopes=other)
-    other[1] = F(1)
-    assert replaced.slopes == {2: F(1)}
+    other = {2: 2}
+    replaced = cover._replace(multipliers=other)
+    other[1] = 2
+    assert replaced.multipliers == {2: 2}

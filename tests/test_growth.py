@@ -336,7 +336,7 @@ def test_surrogate_matches_oracle_sum():
     data=st.data(),
 )
 def test_surrogate_matches_oracle_sum_below_the_modulus(word, data):
-    # n_max < 2m, so the classes with t > theta * n_max are still empty
+    # n_max < 2m, so the classes with t > 2 * n_max / q are still empty
     pattern = SignPattern(tuple(word))
     n_max = data.draw(st.integers(1, 2 * pattern.period - 1))
     step = data.draw(st.integers(1, n_max))
@@ -354,8 +354,8 @@ def _phi_totals_over_full_sieve(pattern, n_max, step):
     totals = []
     for n in sorted({*range(step, n_max + 1, step), n_max}):
         total = 0
-        for t, theta in cover.slopes.items():
-            limit = theta.numerator * n // theta.denominator
+        for t, q in cover.multipliers.items():
+            limit = 2 * n // q
             if limit >= t:
                 total += int(sums[(limit - t) // modulus, t - 1])
         totals.append(total)

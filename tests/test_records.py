@@ -1,7 +1,5 @@
 """Result records: immutable, compared by value, with a `Name(field=...)` repr."""
 
-from fractions import Fraction as F
-
 import pytest
 
 from cyclolcm.constants import growth_constant
@@ -18,15 +16,15 @@ RECORDS = {
         lambda: SignPattern([-1, 1]), "word", "SignPattern(word=(-1, 1))"
     ),
     "ProgressionCover": (
-        lambda: ProgressionCover(2, {1: F(1)}),
+        lambda: ProgressionCover(2, {1: 2}),
         "modulus",
-        "ProgressionCover(modulus=2, slopes={1: Fraction(1, 1)})",
+        "ProgressionCover(modulus=2, multipliers={1: 2})",
     ),
     "GrowthConstant": (
         lambda: growth_constant(parse_pattern("-")),
         "C",
         "GrowthConstant(pattern=SignPattern(word=(-1,)), C=Fraction(3, 1), "
-        "cover=ProgressionCover(modulus=2, slopes={1: Fraction(1, 1), 2: Fraction(1, 1)}))",
+        "cover=ProgressionCover(modulus=2, multipliers={1: 2, 2: 2}))",
     ),
     "GrowthSample": (
         lambda: GrowthSample(10, None, 1.5, None, 0.25),
