@@ -12,10 +12,7 @@ def entry() -> None:
     from .cli import main
 
     try:
-        try:
-            code = main()
-        except SystemExit as exc:  # a refusal or --help, with an int code
-            code = exc.code
+        code = main()
         sys.stdout.flush()
     except BrokenPipeError:  # the reader has gone: exit 1 without a traceback
         code = 1

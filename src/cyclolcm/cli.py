@@ -41,6 +41,13 @@ SCHEMA_VERSION = 1
 TRIALS_CSV_HEADER = "seed,trial,n,X,ratio"
 
 
+def _print_json(obj: dict, file=None) -> None:
+    """One JSON line: obj with the schema version, keys sorted."""
+    import json
+
+    print(json.dumps({"schema": SCHEMA_VERSION, **obj}, sort_keys=True), file=file)
+
+
 def _parse_seed(text: str) -> int:
     from .patterns import _check_seed
 
@@ -59,11 +66,10 @@ def cmd_constant(args) -> int:
 
     gc = growth_constant(parse_pattern(args.pattern))
     if args.format == "json" or args.explain:
-        import json
-        obj = {"schema": SCHEMA_VERSION, **gc.to_json_obj()}
+        obj = gc.to_json_obj()
         if not args.explain:
             del obj["cover"]
-        print(json.dumps(obj, sort_keys=True))
+        _print_json(obj)
     else:
         print(f"{gc.C}\t{float(gc.C)!r}")
     return EXIT_OK
@@ -78,15 +84,9 @@ def cmd_table(args) -> int:
         for word in all_sign_words(args.max_period)
     ]
     if args.format == "json":
-        import json
-        obj = {
-            "schema": SCHEMA_VERSION,
-            "rows": [
-                {"pattern": w, "C": {"num": c.numerator, "den": c.denominator}}
-                for w, c in rows
-            ],
-        }
-        print(json.dumps(obj, sort_keys=True))
+        _print_json({"rows": [
+            {"pattern": w, "C": {"num": c.numerator, "den": c.denominator}} for w, c in rows
+        ]})
     else:
         for word, c in rows:
             print(f"{word}\t{c}\t{float(c)!r}")
@@ -134,29 +134,19 @@ def cmd_growth(args) -> int:
 
 
 def cmd_random(args) -> int:
-    import json
-
     from .stochastic import monte_carlo
 
     results, summary = monte_carlo(args.n, args.trials, _parse_seed(args.seed))
     if args.format == "json":
-        obj = {
-            "schema": SCHEMA_VERSION,
-            "summary": summary.to_json_obj(),
-            "trials": [
-                {"seed": r.seed, "trial": r.trial_index, "n": r.n, "X": r.X, "ratio": r.ratio}
-                for r in results
-            ],
-        }
-        print(json.dumps(obj, sort_keys=True))
+        _print_json({"summary": summary.to_json_obj(), "trials": [
+            {"seed": r.seed, "trial": r.trial_index, "n": r.n, "X": r.X, "ratio": r.ratio}
+            for r in results
+        ]})
     else:
         print(TRIALS_CSV_HEADER)
         for r in results:
             print(f"{r.seed},{r.trial_index},{r.n},{r.X},{r.ratio!r}")
-        print(
-            json.dumps({"schema": SCHEMA_VERSION, **summary.to_json_obj()}, sort_keys=True),
-            file=sys.stderr,
-        )
+        _print_json(summary.to_json_obj(), file=sys.stderr)
     return EXIT_OK
 
 
@@ -219,9 +209,9 @@ _COMMANDS = {
 _ONE_OF = ("--pattern", "--random")
 
 
-def _refuse(message: str):
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(EXIT_USAGE)
+def _help(args) -> int:
+    print(__doc__.partition("\n\n")[2], end="")
+    return EXIT_OK
 
 
 def _value(name: str, kind, text: str):
@@ -230,48 +220,49 @@ def _value(name: str, kind, text: str):
     try:
         value = convert(text)
     except ValueError:
-        _refuse(f"argument {name}: invalid {convert.__name__} value: {text!r}")
+        raise ValueError(f"argument {name}: invalid {convert.__name__} value: {text!r}") from None
     if convert is not kind and value not in kind:
         choices = ", ".join(map(repr, kind))
-        _refuse(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+        raise ValueError(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
     return value
 
 
 def _parse(argv: list[str]):
     """The handler and flag values of `COMMAND --flag value ...`.  A valued
     flag takes the next token as it is, so `--pattern --` reads the sign word
-    "--".  A refusal prints one `error:` line and exits 1."""
+    "--".  -h or --help, first or after the command, reads as the _help
+    handler.  A refusal raises ValueError, which main prints as one `error:`
+    line before it returns 1."""
     if argv[:1] in (["-h"], ["--help"]):
-        print(__doc__.partition("\n\n")[2], end="")
-        raise SystemExit(EXIT_OK)
+        return _help, None
     if not argv:
-        _refuse("the following arguments are required: command")
+        raise ValueError("the following arguments are required: command")
     handler, flags = _COMMANDS[_value("command", tuple(_COMMANDS), argv[0])]
     values, extras = {}, []
     tokens = iter(argv[1:])
     for token in tokens:
         if token in ("-h", "--help"):
-            return _parse([token])  # the text `cyclolcm --help` prints
+            return _help, None
         name, eq, text = token.partition("=")
         if name not in flags:
             extras.append(token)
             continue
         kind = flags[name][0]
         if kind is bool and eq:
-            _refuse(f"argument {name}: ignored explicit argument {text!r}")
+            raise ValueError(f"argument {name}: ignored explicit argument {text!r}")
         if kind is not bool and not eq and (text := next(tokens, None)) is None:
-            _refuse(f"argument {name}: expected one argument")
+            raise ValueError(f"argument {name}: expected one argument")
         values[name] = True if kind is bool else _value(name, kind, text)
         if name in _ONE_OF and (other := _ONE_OF[1 - _ONE_OF.index(name)]) in values:
-            _refuse(f"argument {name}: not allowed with argument {other}")
+            raise ValueError(f"argument {name}: not allowed with argument {other}")
     if extras:  # before a missing flag, which a misspelt one would be
-        _refuse(f"unrecognized arguments: {' '.join(extras)}")
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
     missing = [name for name, (_, default) in flags.items()
                if default is None and name not in values]
     if missing:
-        _refuse(f"the following arguments are required: {', '.join(missing)}")
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
     if _ONE_OF[1] in flags and values.keys().isdisjoint(_ONE_OF):
-        _refuse(f"one of the arguments {' '.join(_ONE_OF)} is required")
+        raise ValueError(f"one of the arguments {' '.join(_ONE_OF)} is required")
     return handler, SimpleNamespace(**{
         name[2:].replace("-", "_"): values.get(name, default)
         for name, (_, default) in flags.items()
@@ -279,8 +270,8 @@ def _parse(argv: list[str]):
 
 
 def main(argv: list[str] | None = None) -> int:
-    handler, args = _parse(list(sys.argv[1:] if argv is None else argv))
     try:
+        handler, args = _parse(list(sys.argv[1:] if argv is None else argv))
         return handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -109,6 +109,8 @@ def pattern_cover(pattern: SignPattern) -> ProgressionCover:
     Residue t in 1..2m has its entry multiplier q (slope 2/q), found
     among q <= 2m (indices k <= t*m); a residue with no q has no class.
     """
+    if not isinstance(pattern, SignPattern):
+        raise ValueError(f"pattern must be a SignPattern, got {pattern!r}")
     word, m = pattern.word, pattern.period
     multipliers: dict[int, int] = {}
     for t in range(1, 2 * m + 1):

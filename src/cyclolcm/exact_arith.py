@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 
+from .cyclotomic import _check_int
+
 __all__ = ["log_big"]
 
 _LN2 = math.log(2.0)
@@ -24,8 +26,7 @@ def log_big(x: int) -> float:
     the full integer to a float; plain float(x) overflows once x exceeds
     ~2**1024, far below the lcm accumulators produced here.
     """
-    if x <= 0:
-        raise ValueError(f"log_big requires x >= 1, got {x}")
+    _check_int("x", x)
     shift = max(x.bit_length() - 64, 0)
     # Truncation drops at most 2**-63 in relative terms; negligible next
     # to float rounding of the two summands.  Below 2**64 nothing is cut

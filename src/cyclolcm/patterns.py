@@ -33,7 +33,6 @@ __all__ = [
     "SignPattern",
     "parse_pattern",
     "all_sign_words",
-    "PatternError",
     "random_shifts",
     "subseed",
 ]
@@ -44,10 +43,6 @@ MAX_PERIOD = 64
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-
-class PatternError(ValueError):
-    """Raised for malformed sign pattern strings."""
 
 
 # A NamedTuple class may not define __new__, so the check and the tuple copy
@@ -64,11 +59,11 @@ class SignPattern(_SignPatternFields):
     def __new__(cls, word: Sequence[int]) -> SignPattern:
         word = tuple(word)
         if not word:
-            raise PatternError("pattern must be nonempty")
+            raise ValueError("pattern must be nonempty")
         if len(word) > MAX_PERIOD:
-            raise PatternError(f"pattern length {len(word)} exceeds limit {MAX_PERIOD}")
+            raise ValueError(f"pattern length {len(word)} exceeds limit {MAX_PERIOD}")
         if any(type(s) is not int or s not in (-1, 1) for s in word):
-            raise PatternError(f"pattern entries must be -1 or +1, got {word}")
+            raise ValueError(f"pattern entries must be -1 or +1, got {word}")
         return super().__new__(cls, word)
 
     @classmethod
@@ -91,9 +86,9 @@ class SignPattern(_SignPatternFields):
 def parse_pattern(text: str) -> SignPattern:
     """Parse a '-'/'+' word; errors name the first offending position."""
     if not text:
-        raise PatternError("empty pattern")
+        raise ValueError("empty pattern")
     if len(text) > MAX_PERIOD:
-        raise PatternError(
+        raise ValueError(
             f"pattern too long at position {MAX_PERIOD + 1}: "
             f"length {len(text)} exceeds limit {MAX_PERIOD}"
         )
@@ -104,7 +99,7 @@ def parse_pattern(text: str) -> SignPattern:
         elif ch == "+":
             word.append(1)
         else:
-            raise PatternError(f"invalid character {ch!r} at position {pos}")
+            raise ValueError(f"invalid character {ch!r} at position {pos}")
     return SignPattern(tuple(word))
 
 

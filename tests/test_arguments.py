@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import cyclolcm
-from cyclolcm.cover import ProgressionCover, cover_members, oracle_L
+from cyclolcm.constants import growth_constant
+from cyclolcm.cover import ProgressionCover, cover_members, oracle_L, pattern_cover
 from cyclolcm.cyclotomic import (
     cyclotomic_value,
     divisor_set,
@@ -16,7 +17,8 @@ from cyclolcm.cyclotomic import (
     totient,
     totient_sieve,
 )
-from cyclolcm.growth import _check_growth_args
+from cyclolcm.exact_arith import log_big
+from cyclolcm.growth import _check_growth_args, surrogate_series
 from cyclolcm.patterns import SignPattern, all_sign_words, parse_pattern, random_shifts, subseed
 from cyclolcm.stochastic import (
     _indicator_counts,
@@ -48,6 +50,7 @@ CONTRACTS = [
     (cover_members, (ProgressionCover(2, {1: 2}), 5), [(1, "x", 1)]),
     (oracle_L, (parse_pattern("-"), 5), [(1, "n", 1)]),
     (ProgressionCover, (4, {}), [(0, "modulus", 1)]),
+    (log_big, (5,), [(0, "x", 1)]),
 ]
 
 CASES = [
@@ -86,6 +89,27 @@ def test_every_seed_entry_refuses_seeds_past_64_bits():
         assert call((1 << 64) - 1) is not None
         with pytest.raises(ValueError, match=f"seed must fit in 64 bits, got {1 << 64}"):
             call(1 << 64)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: growth_constant("-+"), lambda: pattern_cover((-1, 1)),
+     lambda: surrogate_series(2, [-1, 1], 10)],
+    ids=["growth_constant-str", "pattern_cover-tuple", "surrogate_series-list"],
+)
+def test_cover_entries_refuse_anything_but_a_sign_pattern(call):
+    with pytest.raises(ValueError, match="^pattern must be a SignPattern, got "):
+        call()
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1, "-+", 10), "base a must be >= 2, got 1"),
+    ((2, "-+", 0), "n_max must be >= 1, got 0"),
+    ((2, "-+", 10, 0), "step must be >= 1, got 0"),
+], ids=["base", "n_max", "step"])
+def test_surrogate_series_checks_its_numbers_before_the_pattern(args, message):
+    with pytest.raises(ValueError, match=message):
+        surrogate_series(*args)
 
 
 MONTE_CARLO_PROBE = """

@@ -318,17 +318,9 @@ REFUSALS = {
 }
 
 
-def exit_code(argv):
-    # the flag reader's refusals raise SystemExit; a command's ValueError returns 1
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 @pytest.mark.parametrize("argv, named", REFUSALS.values(), ids=list(REFUSALS))
 def test_refusals_exit_one_and_name_the_value(argv, named, capsys):
-    assert exit_code(argv) == 1
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert named in captured.err
@@ -346,6 +338,16 @@ def test_help_lists_every_command_with_exactly_its_flags(argv):
     assert usage.keys() == cli_module._COMMANDS.keys()
     for command, (_, flags) in cli_module._COMMANDS.items():
         assert set(re.findall(r"--[\w-]+", usage[command])) == flags.keys(), command
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], ["growth", "--help"]], ids=["h", "help", "growth-help"]
+)
+def test_help_returns_zero_in_process(argv, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cli_module.__doc__.partition("\n\n")[2]
+    assert captured.err == ""
 
 
 def test_growth_refuses_bad_base_before_drawing_shifts(monkeypatch, capsys):
@@ -410,9 +412,7 @@ def test_random_csv_header_and_determinism():
 
 def test_random_takes_no_base(capsys):
     # X, and so every output of `random`, does not depend on the base
-    with pytest.raises(SystemExit) as exc:
-        main(["random", "--base", "2", "--n", "10", "--trials", "2"])
-    assert exc.value.code == 1
+    assert main(["random", "--base", "2", "--n", "10", "--trials", "2"]) == 1
     assert "unrecognized arguments: --base 2" in capsys.readouterr().err
 
 
@@ -550,15 +550,12 @@ def exit_stub(code):
     raise SystemExit(code)
 
 
-@pytest.mark.parametrize("ends", ["return", "raise"])  # as a command, or as a refusal
 @pytest.mark.parametrize("how", ["console-script", "python-m"])
-def test_process_entry_runs_main_without_the_collector(how, ends, monkeypatch):
+def test_process_entry_runs_main_without_the_collector(how, monkeypatch):
     collecting = []
 
     def stub():
         collecting.append(gc.isenabled())
-        if ends == "raise":
-            raise SystemExit(3)
         return 3
 
     monkeypatch.setattr(cli_module, "main", stub)

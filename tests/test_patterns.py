@@ -9,7 +9,6 @@ import pytest
 from cyclolcm import exact_log_lcm_series, oracle_L, parse_pattern, random_shifts, subseed
 from cyclolcm.patterns import (
     MAX_PERIOD,
-    PatternError,
     SignPattern,
     _mix64,
     _plus_rows,
@@ -46,13 +45,13 @@ def test_parse_examples():
 
 
 def test_parse_errors_name_position():
-    with pytest.raises(PatternError, match="position 2"):
+    with pytest.raises(ValueError, match="position 2"):
         parse_pattern("+?")
-    with pytest.raises(PatternError, match="empty"):
+    with pytest.raises(ValueError, match="empty"):
         parse_pattern("")
-    with pytest.raises(PatternError, match=f"position {MAX_PERIOD + 1}"):
+    with pytest.raises(ValueError, match=f"position {MAX_PERIOD + 1}"):
         parse_pattern("-" * (MAX_PERIOD + 1))
-    with pytest.raises(PatternError):
+    with pytest.raises(ValueError):
         parse_pattern("+-0-")
 
 
@@ -77,7 +76,7 @@ def test_all_sign_words():
 
 def test_shifts_must_be_python_ints():
     for word in ((1.0, -1), (True, -1), (np.int64(1), -1)):
-        with pytest.raises(PatternError, match="must be -1 or \\+1"):
+        with pytest.raises(ValueError, match="must be -1 or \\+1"):
             SignPattern(word)
     bad_lists = ([1.0] * 5, [1, True, -1, 1, 1], np.array([1, -1] * 50))
     for shifts in bad_lists:
@@ -147,16 +146,16 @@ def test_subseed_spreads_trials():
 
 
 def test_pattern_word_validation():
-    with pytest.raises(PatternError):
+    with pytest.raises(ValueError):
         parse_pattern("x")
     # direct construction checks the word too
-    with pytest.raises(PatternError, match="nonempty"):
+    with pytest.raises(ValueError, match="nonempty"):
         SignPattern(())
-    with pytest.raises(PatternError, match=f"exceeds limit {MAX_PERIOD}"):
+    with pytest.raises(ValueError, match=f"exceeds limit {MAX_PERIOD}"):
         SignPattern((1,) * (MAX_PERIOD + 1))
-    with pytest.raises(PatternError, match="must be -1 or \\+1"):
+    with pytest.raises(ValueError, match="must be -1 or \\+1"):
         SignPattern((1, 0))
-    with pytest.raises(PatternError, match="must be -1 or \\+1"):
+    with pytest.raises(ValueError, match="must be -1 or \\+1"):
         parse_pattern("+-")._replace(word=(0, 5))
     with pytest.raises(ValueError, match="64 bits"):
         random_shifts(2**64, 1)

@@ -1,7 +1,10 @@
 """Public surface: every exported name resolves, with one object per name."""
 
+import ast
+import builtins
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +39,24 @@ def test_package_exports_are_the_defining_modules_objects():
         assert home.__name__.startswith("cyclolcm."), attr
         assert attr in home.__all__, (attr, home.__name__)
         assert getattr(home, attr) is obj, attr
+
+
+EXCEPTION_NAMES = {
+    name for name, obj in vars(builtins).items()
+    if isinstance(obj, type) and issubclass(obj, BaseException)
+}
+
+
+@pytest.mark.parametrize("path", sorted(Path(cyclolcm.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_refusal_is_a_plain_value_error(path):
+    # one refusal path: no module exits the process itself, and none defines
+    # its own exception type for callers to catch
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "SystemExit" not in names
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            bases = {ast.unparse(base).rpartition(".")[2] for base in node.bases}
+            assert bases.isdisjoint(EXCEPTION_NAMES), (node.name, bases)
