@@ -89,11 +89,6 @@ _ENCLOSURE_BITS = 128
 # infinitely often, so nothing makes |ratio - C| shrink at every checkpoint.
 ENVELOPE_K = math.pi**2
 
-# Reads (one per sample and cover class) the surrogate answers in one numpy
-# gather: it takes max(1, _GATHER_READS // reads per sample) samples at a
-# time, so its temporaries grow with neither the sample count nor n.
-_GATHER_READS = 1 << 14
-
 GROWTH_CSV_HEADER = "n,log_lcm,phi_sum,ratio_exact,ratio_surrogate"
 
 
@@ -240,11 +235,10 @@ def surrogate_series(
     floor(n / q_t).  Every e of class c has the parity of c (M is
     even), so a read of class c takes the weight 2 when c is even.
 
-    Each read of class c up to `limit` is the prefix over the first
-    (limit - c) // M + 1 rows of column c - 1 (none when limit < c): a row
-    count, a column and a weight.  The counts of many samples are one
-    floor division, and their entries one gather, _GATHER_READS reads at a
-    time.
+    A read of class c up to `limit` is entry [(limit - c) // M, c - 1],
+    or 0 when limit < c.  The loop takes the cover one class at a time and
+    adds its reads for all samples at once, so its arrays hold one entry
+    per sample.
     """
     _check_growth_args(a, n_max, step)
     log_a = math.log(a)
@@ -254,35 +248,23 @@ def surrogate_series(
     sums.cumsum(axis=0, out=sums)
     import numpy as np  # loaded by the sieve, so a traced run charges the import there
 
-    # (numerator, denominator, c) of each read: it sums class c up to
-    # limit = numerator * n // denominator
-    reads = []
+    ns = sorted(_checkpoints(n_max, step))
+    n_arr = np.array(ns, dtype=np.int64)
+    totals = np.zeros_like(n_arr)
     for t, q in cover.multipliers.items():
         if t % 2:
-            reads.append((2, q, t))
+            limit, columns = n_arr * 2 // q, (t,)
         else:
-            reads += [(1, q, t // 2), (1, q, t // 2 + modulus // 2)]
-    numerator, denominator, column = np.array(reads, dtype=np.int64).T
-    column -= 1
-    weight = 1 + column % 2
-    # the row count (limit - c) // M + 1, or 0 when limit < c, as one floor
-    # division, since limit is itself a quotient
-    offset = (modulus - 1 - column) * denominator
-    denominator *= modulus
-    ns = sorted(_checkpoints(n_max, step))
-    per_gather = max(1, _GATHER_READS // len(reads))
+            limit, columns = n_arr // q, (t // 2, t // 2 + modulus // 2)
+        for c in columns:
+            row = (limit - c) // modulus  # -1 while class c is still empty
+            totals += (2 - c % 2) * sums[row, c - 1] * (row >= 0)
 
     samples = []
-    for lo in range(0, len(ns), per_gather):
-        batch = ns[lo : lo + per_gather]
-        n_col = np.array(batch, dtype=np.int64)[:, None]
-        count = (n_col * numerator + offset) // denominator
-        # a count of 0 reads the last row, weighted 0
-        totals = (sums[count - 1, column] * (weight * (count > 0))).sum(axis=1)
-        for n, phi_total in zip(batch, totals.tolist()):
-            phi_sum = phi_total * log_a
-            norm = log_a / math.pi**2 * n * n
-            samples.append(GrowthSample(n, None, phi_sum, None, phi_sum / norm))
+    for n, phi_total in zip(ns, totals.tolist()):
+        phi_sum = phi_total * log_a
+        norm = log_a / math.pi**2 * n * n
+        samples.append(GrowthSample(n, None, phi_sum, None, phi_sum / norm))
     return samples
 
 
@@ -312,8 +294,8 @@ def convergence_report(
     samples = sorted(samples, key=lambda s: s.n)
     c = float(constant.C) if isinstance(constant, GrowthConstant) else float(constant)
     final = samples[-1]
-    gap_exact, within_exact = _envelope_gaps(list(samples), c, "ratio_exact")
-    gap_sur, within_sur = _envelope_gaps(list(samples), c, "ratio_surrogate")
+    gap_exact, within_exact = _envelope_gaps(samples, c, "ratio_exact")
+    gap_sur, within_sur = _envelope_gaps(samples, c, "ratio_surrogate")
     return ConvergenceReport(
         constant=c,
         n_final=final.n,

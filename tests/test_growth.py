@@ -385,15 +385,10 @@ READ_PATH_WORDS = [("-", 2), ("+", 2), ("-+", 4), ("-++", 6), ("--+-+-++", 16),
 @pytest.mark.parametrize("word, modulus", READ_PATH_WORDS)
 @pytest.mark.parametrize("n_max", [1, 2, 127, 128, 129, 2999, 3001])
 @pytest.mark.parametrize("step", [1, 7])
-def test_surrogate_read_path_equals_full_sieve_layout(word, modulus, n_max, step,
-                                                      monkeypatch):
+def test_surrogate_read_path_equals_full_sieve_layout(word, modulus, n_max, step):
     pattern = parse_pattern(word)
     assert pattern_cover(pattern).modulus == modulus
     expected = [t * LN2 for t in _phi_totals_over_full_sieve(pattern, n_max, step)]
-    assert [s.phi_sum for s in surrogate_series(2, pattern, n_max, step)] == expected
-    # 300 reads a gather: one sample of Thue-Morse-64 at a time, 300 of "-",
-    # so at n_max near 3000 every word's samples span several gathers
-    monkeypatch.setattr(growth, "_GATHER_READS", 300)
     assert [s.phi_sum for s in surrogate_series(2, pattern, n_max, step)] == expected
 
 
