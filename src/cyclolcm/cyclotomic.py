@@ -74,10 +74,13 @@ def totient(n: int) -> int:
     return result
 
 
-# Entries per block of the segmented totient sieve: big enough that the
-# per-prime numpy calls are cheap, small enough that a block's three int64
-# temporaries over its odd entries (0.75 MB) stay in cache and never reach
-# the size of the whole array.
+# Entries per block of two whole-array loops: the segmented totient sieve
+# and the surrogate's class prefix sums (growth.surrogate_series).  Big
+# enough that each block's numpy calls are cheap, small enough that a
+# block stays in cache: the sieve's temporaries over a block's odd entries
+# (at most 0.75 MB), and the 512 KB of int64 sums that a cumsum down the
+# columns walks, which across the whole table would miss cache at every
+# row when the row length is a power of two.
 SIEVE_BLOCK = 1 << 16
 
 
@@ -101,20 +104,22 @@ def totient_sieve(limit: int) -> np.ndarray:
     every odd composite n is marked with one of its primes; an entry
     left unmarked is a prime n, with p = n and m = 1.  One division, one
     gather and one multiply then fill the odd entries, with the factor p
-    or p - 1 made in place of p.
+    or p - 1 made in place of p.  The block temporaries m and p are int32
+    whenever every n fits in it, so that division runs in 32 bits.
     """
     _check_int("limit", limit)
     import numpy as np
 
     phi = np.empty(limit + 1, dtype=np.int64)
     phi[:2] = (0, 1)
+    block_dtype = np.int32 if limit < 2**31 else np.int64
     lo = 2
     while lo <= limit:
         hi = min(lo + SIEVE_BLOCK, 1 << lo.bit_length(), limit + 1)
         phi[lo + lo % 2 : hi : 2] = phi[(lo + 1) // 2 : (hi + 1) // 2]
         phi[lo + -lo % 4 : hi : 4] *= 2
         odd = lo | 1
-        m = np.arange(odd, hi, 2, dtype=np.int64)
+        m = np.arange(odd, hi, 2, dtype=block_dtype)
         p = m.copy()
         small = np.arange(3, math.isqrt(hi - 1) + 1, 2)  # all below lo: phi is final
         for q in small[phi[small] == small - 1].tolist():  # odd + 2i ≡ 0 (mod q) at i ≡ -odd/2

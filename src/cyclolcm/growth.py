@@ -52,7 +52,7 @@ from typing import IO, Iterator, NamedTuple, Sequence
 
 from .constants import GrowthConstant
 from .cover import _entry_buckets, pattern_cover
-from .cyclotomic import _check_int, _v2, cyclotomic_value, totient, totient_sieve
+from .cyclotomic import SIEVE_BLOCK, _check_int, _v2, cyclotomic_value, totient, totient_sieve
 from .exact_arith import log_big
 from .patterns import SignPattern, _shift_list
 
@@ -229,6 +229,10 @@ def surrogate_series(
     for odd e and 2 phi(e) for even e.  The sieve is turned in place into
     prefix sums along each residue class: viewed as rows of M, entry
     [r, c - 1] becomes the sum of phi(e) over e ≡ c (mod M), e <= r*M + c.
+    The sums run one block of about SIEVE_BLOCK entries at a time, each
+    block starting from the last row of the one before: numpy walks a
+    cumsum down the rows column by column, and across the whole table
+    a power-of-two M makes every step of that walk a cache miss.
     An odd cover class t, slope theta_t = 2/q_t, sums phi(e) over
     e ≡ t (mod M) up to floor(2n / q_t); an even class t sums phi(2e) over
     e ≡ t/2 (mod M/2), so it reads the two classes t/2 and t/2 + M/2 up to
@@ -245,7 +249,12 @@ def surrogate_series(
     cover = pattern_cover(pattern)
     modulus = cover.modulus
     sums = totient_sieve(-(-n_max // modulus) * modulus)[1:].reshape(-1, modulus)
-    sums.cumsum(axis=0, out=sums)
+    rows = max(1, SIEVE_BLOCK // modulus)
+    for r in range(0, len(sums), rows):
+        block = sums[r : r + rows]
+        if r:
+            block[0] += sums[r - 1]
+        block.cumsum(axis=0, out=block)
     import numpy as np  # loaded by the sieve, so a traced run charges the import there
 
     ns = sorted(_checkpoints(n_max, step))

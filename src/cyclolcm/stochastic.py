@@ -327,8 +327,7 @@ def monte_carlo(
         block = range(lo, min(lo + rows, trials))
         seeds = [subseed(seed, t) for t in block]
         flags = _union_rows(_plus_rows(np.array(seeds, dtype=np.uint64), n))
-        for t, s, row in zip(block, seeds, flags):
-            x = int(phi[row].sum())
+        for t, s, x in zip(block, seeds, (flags @ phi).tolist()):
             results.append(TrialResult(s, t, n, x, x * norm))
     return results, _summarize(results, n)
 

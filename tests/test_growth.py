@@ -365,7 +365,10 @@ def _phi_totals_over_full_sieve(pattern, n_max, step):
 THUE_MORSE_64 = "".join("+" if bin(k).count("1") % 2 else "-" for k in range(64))
 
 
-@pytest.mark.parametrize("n_max", [10**5, 10**5 + 7])  # 10**5 + 7 is odd: no multiple of M
+# 10**5 + 7 is odd: no multiple of M.  At M = 128 a class-sum block holds 512
+# rows of sums: n_max = 65536, 65537 and 65664 lie on, one entry past and
+# one row past the first block edge.
+@pytest.mark.parametrize("n_max", [10**5, 10**5 + 7, 65536, 65537, 65664])
 def test_surrogate_equals_full_sieve_layout_at_large_n(n_max):
     # the sieve up to n_max, with phi(2e) read as psi(e), gives the same integers
     patterns = [parse_pattern(w) for w in (THUE_MORSE_64, "-+-", "--+-+")]
