@@ -145,6 +145,8 @@ def cover_members(cover: ProgressionCover, x: int) -> list[int]:
     Membership is the exact comparison d <= theta_t * x = 2x / q_t, i.e.
     d <= floor(2x / q_t) since d is an integer.
     """
+    if not isinstance(cover, ProgressionCover):
+        raise ValueError(f"cover must be a ProgressionCover, got {cover!r}")
     _check_int("x", x)
     return sorted(d for d, _ in _cover_entry_masks([cover], x))
 

@@ -50,7 +50,6 @@ import math
 from itertools import accumulate
 from typing import IO, Iterator, NamedTuple, Sequence
 
-from .constants import GrowthConstant
 from .cover import _entry_buckets, pattern_cover
 from .cyclotomic import SIEVE_BLOCK, _check_int, _v2, cyclotomic_value, totient, totient_sieve
 from .exact_arith import log_big
@@ -61,10 +60,8 @@ __all__ = [
     "ENVELOPE_K",
     "GROWTH_CSV_HEADER",
     "GrowthSample",
-    "ConvergenceReport",
     "exact_log_lcm_series",
     "surrogate_series",
-    "convergence_report",
     "write_growth_csv",
 ]
 
@@ -104,17 +101,6 @@ class GrowthSample(NamedTuple):
     phi_sum: float | None
     ratio_exact: float | None
     ratio_surrogate: float | None
-
-
-class ConvergenceReport(NamedTuple):
-    constant: float
-    n_final: int
-    final_ratio_exact: float | None
-    final_ratio_surrogate: float | None
-    gap_exact: float | None
-    gap_surrogate: float | None
-    within_envelope_exact: bool | None
-    within_envelope_surrogate: bool | None
 
 
 def _check_growth_args(a: int, n_max: int, step: int) -> None:
@@ -275,46 +261,6 @@ def surrogate_series(
         norm = log_a / math.pi**2 * n * n
         samples.append(GrowthSample(n, None, phi_sum, None, phi_sum / norm))
     return samples
-
-
-def _envelope_gaps(
-    samples: list[GrowthSample], constant: float, field: str
-) -> tuple[float | None, bool | None]:
-    """Gap at the final n and whether the samples nearest n_f/4, n_f/2 and
-    n_f all lie within ENVELOPE_K * log n / n of the constant."""
-    present = [s for s in samples if getattr(s, field) is not None]
-    if not present:
-        return None, None
-    final = present[-1]
-    within = True
-    for target in (final.n / 4, final.n / 2, final.n):
-        nearest = min(present, key=lambda s: abs(s.n - target))
-        gap = abs(getattr(nearest, field) - constant)
-        within &= gap <= ENVELOPE_K * math.log(nearest.n) / nearest.n
-    return abs(getattr(final, field) - constant), within
-
-
-def convergence_report(
-    samples: Sequence[GrowthSample], constant: float | GrowthConstant
-) -> ConvergenceReport:
-    """Summarize how close the normalized ratios are to the constant."""
-    if len(samples) < 3:
-        raise ValueError(f"need at least 3 samples, got {len(samples)}")
-    samples = sorted(samples, key=lambda s: s.n)
-    c = float(constant.C) if isinstance(constant, GrowthConstant) else float(constant)
-    final = samples[-1]
-    gap_exact, within_exact = _envelope_gaps(samples, c, "ratio_exact")
-    gap_sur, within_sur = _envelope_gaps(samples, c, "ratio_surrogate")
-    return ConvergenceReport(
-        constant=c,
-        n_final=final.n,
-        final_ratio_exact=final.ratio_exact,
-        final_ratio_surrogate=final.ratio_surrogate,
-        gap_exact=gap_exact,
-        gap_surrogate=gap_sur,
-        within_envelope_exact=within_exact,
-        within_envelope_surrogate=within_sur,
-    )
 
 
 def write_growth_csv(samples: Sequence[GrowthSample], out: IO[str]) -> None:

@@ -85,6 +85,8 @@ class SignPattern(_SignPatternFields):
 
 def parse_pattern(text: str) -> SignPattern:
     """Parse a '-'/'+' word; errors name the first offending position."""
+    if not isinstance(text, str):
+        raise ValueError(f"pattern must be a str, got {text!r}")
     if not text:
         raise ValueError("empty pattern")
     if len(text) > MAX_PERIOD:
@@ -123,9 +125,12 @@ def _shift_list(shifts: SignPattern | Sequence[int], n: int) -> list[int]:
     A SignPattern is a tuple too, hence a Sequence: it is tested for first."""
     if isinstance(shifts, SignPattern):
         return shifts.shifts(n)
-    if len(shifts) < n:
-        raise ValueError(f"need at least {n} shifts, got {len(shifts)}")
-    seq = list(shifts[:n])
+    try:
+        count, seq = len(shifts), list(shifts[:n])
+    except TypeError:
+        raise ValueError(f"shifts must be a SignPattern or a sequence, got {shifts!r}") from None
+    if count < n:
+        raise ValueError(f"need at least {n} shifts, got {count}")
     for s in seq:
         if type(s) is not int or s not in (-1, 1):
             raise ValueError(f"shift must be -1 or +1, got {s!r}")

@@ -18,7 +18,7 @@ from cyclolcm.cyclotomic import (
     totient_sieve,
 )
 from cyclolcm.exact_arith import log_big
-from cyclolcm.growth import _check_growth_args, surrogate_series
+from cyclolcm.growth import _check_growth_args, exact_log_lcm_series, surrogate_series
 from cyclolcm.patterns import SignPattern, all_sign_words, parse_pattern, random_shifts, subseed
 from cyclolcm.stochastic import (
     _indicator_counts,
@@ -100,6 +100,21 @@ def test_every_seed_entry_refuses_seeds_past_64_bits():
 def test_cover_entries_refuse_anything_but_a_sign_pattern(call):
     with pytest.raises(ValueError, match="^pattern must be a SignPattern, got "):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cover_members({1: 2}, 5), "cover must be a ProgressionCover, got {1: 2}"),
+    (lambda: exact_log_lcm_series(2, 5, 10), "shifts must be a SignPattern or a sequence, got 5"),
+    (lambda: oracle_L(5, 3), "shifts must be a SignPattern or a sequence, got 5"),
+    (lambda: oracle_L(None, 3), "shifts must be a SignPattern or a sequence, got None"),
+    (lambda: parse_pattern(5), "pattern must be a str, got 5"),
+    (lambda: parse_pattern(["-", "+"]), "pattern must be a str, got ['-', '+']"),
+], ids=["cover_members-dict", "exact_log_lcm_series-int", "oracle_L-int", "oracle_L-None",
+        "parse_pattern-int", "parse_pattern-list"])
+def test_wrong_types_are_refused_by_name(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("args, message", [

@@ -1,4 +1,4 @@
-"""Exact lcm engine, totient-sum surrogate, and convergence reporting."""
+"""Exact lcm engine, totient-sum surrogate, and their convergence envelope."""
 
 import io
 import math
@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclolcm import (
-    convergence_report,
     cyclotomic_value,
     divisor_set,
     exact_log_lcm_series,
@@ -435,36 +434,20 @@ def test_totient_surrogate_sandwich(word):
         assert slack <= 5 * kappa * budget
 
 
-def test_convergence_report_needs_three_samples():
-    samples = surrogate_series(2, parse_pattern("-"), 100, step=60)
-    assert len(samples) == 2
-    with pytest.raises(ValueError):
-        convergence_report(samples, 3.0)
-
-
-def test_convergence_report_surrogate_gaps_shrink():
+def test_surrogate_gaps_lie_within_envelope():
     pattern = parse_pattern("-")
     picked = [
         surrogate_series(2, pattern, n, step=n)[-1] for n in (10**3, 10**4, 10**5)
     ]
     for s in picked:
         assert abs(s.ratio_surrogate - 3) <= ENVELOPE_K * math.log(s.n) / s.n
-    report = convergence_report(picked, growth_constant(pattern))
-    assert report.constant == 3.0
-    assert report.n_final == 10**5
-    assert report.within_envelope_surrogate is True
-    assert report.within_envelope_exact is None
-    assert report.final_ratio_exact is None
-    # 1% of C is far outside the n = 10^5 envelope of about 1.1e-3
-    assert convergence_report(picked, 3.03).within_envelope_surrogate is False
+    # Not vacuous: 1% of C is far outside the n = 10^5 envelope of about 1.1e-3
+    final = picked[-1]
+    assert abs(final.ratio_surrogate - 3.03) > ENVELOPE_K * math.log(final.n) / final.n
 
 
-def test_convergence_report_exact_fields():
-    pattern = parse_pattern("-")
-    samples = exact_log_lcm_series(2, pattern, 1000, step=250)
-    report = convergence_report(samples, 3.0)
-    assert report.final_ratio_exact == samples[-1].ratio_exact
-    assert report.gap_exact is not None and report.gap_exact > 0
+def test_exact_gap_shrinks_from_250_to_1000():
+    samples = exact_log_lcm_series(2, parse_pattern("-"), 1000, step=250)
     # approach at this scale: the n=1000 gap beats the n=250 gap
     assert abs(samples[-1].ratio_exact - 3) < abs(samples[0].ratio_exact - 3)
 

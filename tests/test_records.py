@@ -4,7 +4,7 @@ import pytest
 
 from cyclolcm.constants import growth_constant
 from cyclolcm.cover import ProgressionCover
-from cyclolcm.growth import ConvergenceReport, GrowthSample
+from cyclolcm.growth import GrowthSample
 from cyclolcm.patterns import SignPattern, parse_pattern
 from cyclolcm.stochastic import MonteCarloSummary, TrialResult
 from cyclolcm.verify import CheckResult
@@ -30,13 +30,6 @@ RECORDS = {
         lambda: GrowthSample(10, None, 1.5, None, 0.25),
         "n",
         "GrowthSample(n=10, log_lcm=None, phi_sum=1.5, ratio_exact=None, ratio_surrogate=0.25)",
-    ),
-    "ConvergenceReport": (
-        lambda: ConvergenceReport(3.0, 10, None, 3.5, None, 0.5, None, True),
-        "gap_surrogate",
-        "ConvergenceReport(constant=3.0, n_final=10, final_ratio_exact=None, "
-        "final_ratio_surrogate=3.5, gap_exact=None, gap_surrogate=0.5, "
-        "within_envelope_exact=None, within_envelope_surrogate=True)",
     ),
     "TrialResult": (
         lambda: TrialResult(7, 0, 50, 1200, 4.5),
