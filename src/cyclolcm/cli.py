@@ -1,6 +1,17 @@
-"""Command-line front end.
+"""Command-line front end; -h prints _USAGE, kept out of docstrings for python -OO."""
 
-Subcommands (flags match by full name only; -h or --help prints this text):
+from __future__ import annotations
+
+import re
+import sys
+from types import SimpleNamespace
+
+# Each command imports the engine it runs (and json, where it prints JSON)
+# inside its own body, so a process loads only what its command uses.
+
+__all__ = ["main"]
+
+_USAGE = """Subcommands (flags match by full name only; -h or --help prints this text):
 
     constant  --pattern P [--explain] [--format table|json]   exact growth constant
     table     --max-period 1..8 [--format table|json]         constants for all words
@@ -18,17 +29,6 @@ failure.  All randomness flows through an explicit --seed S (decimal or
 0x-hex; the default is a fixed constant, never the clock), so identical
 invocations produce byte-identical output.
 """
-
-from __future__ import annotations
-
-import re
-import sys
-from types import SimpleNamespace
-
-# Each command imports the engine it runs (and json, where it prints JSON)
-# inside its own body, so a process loads only what its command uses.
-
-__all__ = ["main"]
 
 DEFAULT_SEED = 0x5EEDC0DE
 
@@ -138,7 +138,7 @@ def cmd_random(args) -> int:
 
     results, summary = monte_carlo(args.n, args.trials, _parse_seed(args.seed))
     if args.format == "json":
-        _print_json({"summary": summary.to_json_obj(), "trials": [
+        _print_json({"summary": summary._asdict(), "trials": [
             {"seed": r.seed, "trial": r.trial_index, "n": r.n, "X": r.X, "ratio": r.ratio}
             for r in results
         ]})
@@ -146,7 +146,7 @@ def cmd_random(args) -> int:
         print(TRIALS_CSV_HEADER)
         for r in results:
             print(f"{r.seed},{r.trial_index},{r.n},{r.X},{r.ratio!r}")
-        _print_json(summary.to_json_obj(), file=sys.stderr)
+        _print_json(summary._asdict(), file=sys.stderr)
     return EXIT_OK
 
 
@@ -210,7 +210,7 @@ _ONE_OF = ("--pattern", "--random")
 
 
 def _help(args) -> int:
-    print(__doc__.partition("\n\n")[2], end="")
+    print(_USAGE, end="")
     return EXIT_OK
 
 

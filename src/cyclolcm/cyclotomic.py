@@ -43,6 +43,11 @@ def _check_int(name: str, value: int, low: int = 1) -> None:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
+def _check_shift(s: int) -> None:
+    if type(s) is not int or s not in (-1, 1):
+        raise ValueError(f"shift must be -1 or +1, got {s!r}")
+
+
 @cache
 def _factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} by memoised trial division; every
@@ -159,8 +164,7 @@ def divisor_set(k: int, shift: int) -> list[int]:
     with v = v_2(k).  A shift other than the int -1 or +1 raises ValueError.
     """
     _check_int("k", k)
-    if type(shift) is not int or shift not in (-1, 1):
-        raise ValueError(f"shift must be -1 or +1, got {shift}")
+    _check_shift(shift)
     if shift == -1:
         return divisors(k)
     v = _v2(k)

@@ -67,6 +67,8 @@ __all__ = [
 
 EXACT_ENGINE_CAP = 2000
 
+_SAMPLE_BLOCK = 1 << 13  # samples per block of the surrogate's reads
+
 # Starting width of the exact series' enclosure, in bits: its relative width
 # is about (cuts made) * 2^-128, far too narrow to straddle the top 64 bits.
 _ENCLOSURE_BITS = 128
@@ -86,8 +88,6 @@ _ENCLOSURE_BITS = 128
 # infinitely often, so nothing makes |ratio - C| shrink at every checkpoint.
 ENVELOPE_K = math.pi**2
 
-GROWTH_CSV_HEADER = "n,log_lcm,phi_sum,ratio_exact,ratio_surrogate"
-
 
 class GrowthSample(NamedTuple):
     """One checkpoint of a growth series.
@@ -101,6 +101,9 @@ class GrowthSample(NamedTuple):
     phi_sum: float | None
     ratio_exact: float | None
     ratio_surrogate: float | None
+
+
+GROWTH_CSV_HEADER = ",".join(GrowthSample._fields)
 
 
 def _check_growth_args(a: int, n_max: int, step: int) -> None:
@@ -146,10 +149,23 @@ def _lcm_enclosures(
         yield k, lo, hi, dropped + m2
 
 
-def _checkpoints(n_max: int, step: int) -> set[int]:
-    pts = set(range(step, n_max + 1, step))
-    pts.add(n_max)
-    return pts
+def _checkpoints(n_max: int, step: int) -> list[int]:
+    return [*range(step, n_max, step), n_max]
+
+
+def _growth_samples(
+    a: int, ns: list[int], phi_totals: list[int], log_lcms: list[float] | None = None
+) -> list[GrowthSample]:
+    """A sample at each n of ns from the phi total over L(n) and, if given, log lcm_n."""
+    log_a = math.log(a)
+    scale = log_a / math.pi**2
+    samples = []
+    for n, total, log_lcm in zip(ns, phi_totals, log_lcms or [None] * len(ns)):
+        phi_sum = total * log_a
+        norm = scale * n * n
+        ratio_exact = None if log_lcm is None else log_lcm / norm
+        samples.append(GrowthSample(n, log_lcm, phi_sum, ratio_exact, phi_sum / norm))
+    return samples
 
 
 def exact_log_lcm_series(
@@ -181,26 +197,21 @@ def exact_log_lcm_series(
     entering = _entry_buckets(seq)
     # [k]: the sum of phi(d) over L(k)
     phi_totals = list(accumulate(sum(map(totient, bucket)) for bucket in entering))
-    log_a = math.log(a)
-    want = _checkpoints(n_max, step)
+    ns = _checkpoints(n_max, step)
     bits = _ENCLOSURE_BITS
     while True:
-        samples = []
+        log_lcms = []
+        # the last checkpoint is n_max, the last k, so ns is never read past its end
         for k, lo, hi, exp in _lcm_enclosures(a, seq, entering, bits):
-            if k not in want:
+            if k != ns[len(log_lcms)]:
                 continue
             nbits = lo.bit_length()
             below_top = max(nbits - 64, 0)
             if nbits != hi.bit_length() or lo >> below_top != hi >> below_top:
                 break
-            norm = log_a / math.pi**2 * k * k
-            log_lcm = log_big(lo << exp)
-            phi_sum = phi_totals[k] * log_a
-            samples.append(
-                GrowthSample(k, log_lcm, phi_sum, log_lcm / norm, phi_sum / norm)
-            )
-        else:  # every sample read
-            return samples
+            log_lcms.append(log_big(lo << exp))
+        else:  # every checkpoint read
+            return _growth_samples(a, ns, [phi_totals[k] for k in ns], log_lcms)
         bits *= 2
 
 
@@ -225,53 +236,42 @@ def surrogate_series(
     floor(n / q_t).  Every e of class c has the parity of c (M is
     even), so a read of class c takes the weight 2 when c is even.
 
-    A read of class c up to `limit` is entry [(limit - c) // M, c - 1],
-    or 0 when limit < c.  The loop takes the cover one class at a time and
-    adds its reads for all samples at once, so its arrays hold one entry
-    per sample.
+    A read of class c up to `limit` is entry [(limit - c) // M, c - 1]:
+    row -1, which the sieve adds one row for and zeroes, when limit < c.
+    The loop takes the cover one class at a time and adds its reads for
+    _SAMPLE_BLOCK samples at once: 64 KB int64 temporaries stay in cache
+    and below malloc's mmap threshold (each mapped array page-faults).
     """
     _check_growth_args(a, n_max, step)
-    log_a = math.log(a)
     cover = pattern_cover(pattern)
     modulus = cover.modulus
-    sums = totient_sieve(-(-n_max // modulus) * modulus)[1:].reshape(-1, modulus)
+    sums = totient_sieve((-(-n_max // modulus) + 1) * modulus)[1:].reshape(-1, modulus)
     rows = max(1, SIEVE_BLOCK // modulus)
     for r in range(0, len(sums), rows):
         block = sums[r : r + rows]
         if r:
             block[0] += sums[r - 1]
         block.cumsum(axis=0, out=block)
+    sums[-1] = 0
     import numpy as np  # loaded by the sieve, so a traced run charges the import there
 
-    ns = sorted(_checkpoints(n_max, step))
-    n_arr = np.array(ns, dtype=np.int64)
-    totals = np.zeros_like(n_arr)
-    for t, q in cover.multipliers.items():
-        if t % 2:
-            limit, columns = n_arr * 2 // q, (t,)
-        else:
-            limit, columns = n_arr // q, (t // 2, t // 2 + modulus // 2)
-        for c in columns:
-            row = (limit - c) // modulus  # -1 while class c is still empty
-            totals += (2 - c % 2) * sums[row, c - 1] * (row >= 0)
-
-    samples = []
-    for n, phi_total in zip(ns, totals.tolist()):
-        phi_sum = phi_total * log_a
-        norm = log_a / math.pi**2 * n * n
-        samples.append(GrowthSample(n, None, phi_sum, None, phi_sum / norm))
-    return samples
+    ns = _checkpoints(n_max, step)
+    all_n = np.array(ns, dtype=np.int64)
+    totals = np.zeros_like(all_n)
+    for i in range(0, len(ns), _SAMPLE_BLOCK):
+        n_arr, block_totals = all_n[i : i + _SAMPLE_BLOCK], totals[i : i + _SAMPLE_BLOCK]
+        for t, q in cover.multipliers.items():
+            if t % 2:
+                limit, columns = n_arr * 2 // q, (t,)
+            else:
+                limit, columns = n_arr // q, (t // 2, t // 2 + modulus // 2)
+            for c in columns:
+                block_totals += (2 - c % 2) * sums[(limit - c) // modulus, c - 1]
+    return _growth_samples(a, ns, totals.tolist())
 
 
 def write_growth_csv(samples: Sequence[GrowthSample], out: IO[str]) -> None:
     """Emit the growth CSV; missing exact fields become empty columns."""
     out.write(GROWTH_CSV_HEADER + "\n")
     for s in samples:
-        fields = [
-            str(s.n),
-            "" if s.log_lcm is None else repr(s.log_lcm),
-            "" if s.phi_sum is None else repr(s.phi_sum),
-            "" if s.ratio_exact is None else repr(s.ratio_exact),
-            "" if s.ratio_surrogate is None else repr(s.ratio_surrogate),
-        ]
-        out.write(",".join(fields) + "\n")
+        out.write(",".join("" if v is None else repr(v) for v in s) + "\n")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .cyclotomic import _check_int
+from .cyclotomic import _check_int, _check_shift
 
 if TYPE_CHECKING:  # at run time numpy loads only in the functions that build arrays
     import numpy as np
@@ -62,8 +62,8 @@ class SignPattern(_SignPatternFields):
             raise ValueError("pattern must be nonempty")
         if len(word) > MAX_PERIOD:
             raise ValueError(f"pattern length {len(word)} exceeds limit {MAX_PERIOD}")
-        if any(type(s) is not int or s not in (-1, 1) for s in word):
-            raise ValueError(f"pattern entries must be -1 or +1, got {word}")
+        for s in word:
+            _check_shift(s)
         return super().__new__(cls, word)
 
     @classmethod
@@ -120,8 +120,7 @@ def all_sign_words(max_period: int) -> list[str]:
 
 
 def _shift_list(shifts: SignPattern | Sequence[int], n: int) -> list[int]:
-    """s_1..s_n from a pattern, or the first n entries of an explicit list,
-    each of which must be the Python int -1 or +1.
+    """s_1..s_n from a pattern, or the first n entries of an explicit list.
     A SignPattern is a tuple too, hence a Sequence: it is tested for first."""
     if isinstance(shifts, SignPattern):
         return shifts.shifts(n)
@@ -132,8 +131,7 @@ def _shift_list(shifts: SignPattern | Sequence[int], n: int) -> list[int]:
     if count < n:
         raise ValueError(f"need at least {n} shifts, got {count}")
     for s in seq:
-        if type(s) is not int or s not in (-1, 1):
-            raise ValueError(f"shift must be -1 or +1, got {s!r}")
+        _check_shift(s)
     return seq
 
 
@@ -158,18 +156,18 @@ def _mix64(x: int | np.ndarray) -> int | np.ndarray:
     return z
 
 
-def _check_seed(seed: int) -> None:
-    """Refuse a seed that is not a Python int in 0..2^64 - 1."""
-    _check_int("seed", seed, 0)
+def _check_seed(seed: int, name: str = "seed") -> None:
+    """Refuse a seed or trial index that is not a Python int in 0..2^64 - 1."""
+    _check_int(name, seed, 0)
     if seed > _MASK64:
-        raise ValueError(f"seed must fit in 64 bits, got {seed}")
+        raise ValueError(f"{name} must fit in 64 bits, got {seed}")
 
 
 def subseed(seed: int, trial_index: int) -> int:
     """Per-trial sub-seed: seed XOR mix64(trial_index)."""
     _check_seed(seed)
-    _check_int("trial_index", trial_index, 0)
-    return seed ^ _mix64(trial_index & _MASK64)
+    _check_seed(trial_index, "trial_index")
+    return seed ^ _mix64(trial_index)
 
 
 def _plus_rows(seeds: np.ndarray, n: int) -> np.ndarray:

@@ -76,9 +76,6 @@ class MonteCarloSummary(NamedTuple):
     theory_ratio: float
     abs_gap: float
 
-    def to_json_obj(self) -> dict:
-        return self._asdict()
-
 
 def _floor_exponent(n: int, d: int) -> int:
     """floor(n * gcd(2, d) / d) = #{k <= n : d | 2k}."""

@@ -196,8 +196,8 @@ def test_c10_determinism_of_random_route():
     second_e = repr(expected_X(10**4, "float"))
     r1, s1 = monte_carlo(2000, 64, SEED)
     r2, s2 = monte_carlo(2000, 64, SEED)
-    blob1 = json.dumps([s1.to_json_obj(), [(r.seed, r.X, r.ratio) for r in r1]])
-    blob2 = json.dumps([s2.to_json_obj(), [(r.seed, r.X, r.ratio) for r in r2]])
+    blob1 = json.dumps([s1._asdict(), [(r.seed, r.X, r.ratio) for r in r1]])
+    blob2 = json.dumps([s2._asdict(), [(r.seed, r.X, r.ratio) for r in r2]])
     ok = report(
         "C10 byte-identical reruns of the random-model routes",
         first_e == second_e and blob1 == blob2,

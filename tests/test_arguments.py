@@ -91,6 +91,13 @@ def test_every_seed_entry_refuses_seeds_past_64_bits():
             call(1 << 64)
 
 
+def test_subseed_refuses_trial_indexes_past_64_bits():
+    # a mask would map trial 2^64 onto trial 0
+    with pytest.raises(ValueError) as exc:
+        subseed(5, 1 << 64)
+    assert str(exc.value) == f"trial_index must fit in 64 bits, got {1 << 64}"
+
+
 @pytest.mark.parametrize(
     "call",
     [lambda: growth_constant("-+"), lambda: pattern_cover((-1, 1)),

@@ -346,8 +346,17 @@ def test_help_lists_every_command_with_exactly_its_flags(argv):
 def test_help_returns_zero_in_process(argv, capsys):
     assert main(argv) == 0
     captured = capsys.readouterr()
-    assert captured.out == cli_module.__doc__.partition("\n\n")[2]
+    assert captured.out == cli_module._USAGE
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["growth", "--help"]], ids=["h", "growth-help"])
+def test_help_survives_stripped_docstrings(argv):
+    # python -OO drops every docstring; the usage text is not one
+    plain = run_cli(*argv)
+    stripped = run_python("-OO", "-m", "cyclolcm", *argv)
+    assert (stripped.returncode, stripped.stderr) == (0, "")
+    assert stripped.stdout == plain.stdout == cli_module._USAGE
 
 
 def test_growth_refuses_bad_base_before_drawing_shifts(monkeypatch, capsys):
@@ -439,6 +448,28 @@ def test_expect_values():
     assert run_cli("expect", "--n", "100000").stdout == "3539623112.8619623\n"
     assert run_cli("expect", "--n", "300").stdout == "31912.18784197274\n"
     assert run_cli("expect", "--n", "3000", "--exact").returncode == 1
+
+
+GROWTH_CSV_PINNED = {
+    "exact": (
+        ["--exact", "--base", "10", "--pattern", "-+-", "--n-max", "60", "--step", "30"],
+        "n,log_lcm,phi_sum,ratio_exact,ratio_surrogate\n"
+        "30,685.9909003148553,686.1703577122257,3.2670810007098665,3.2679356794718104\n"
+        "60,2762.7340337265646,2763.102111592855,3.2894298843686602,3.2898681336964533\n",
+    ),
+    "surrogate": (
+        ["--base", "2", "--pattern", "-++", "--n-max", "2000", "--step", "1000"],
+        "n,log_lcm,phi_sum,ratio_exact,ratio_surrogate\n"
+        "1000,,253099.92039274177,,3.603846568640175\n"
+        "2000,,1013120.5546387495,,3.606412665784458\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("flags, csv", GROWTH_CSV_PINNED.values(), ids=list(GROWTH_CSV_PINNED))
+def test_growth_csv_bytes(flags, csv, capsys):
+    assert main(["growth", *flags]) == 0
+    assert capsys.readouterr().out == csv
 
 
 def test_verify_table1():

@@ -394,6 +394,16 @@ def test_surrogate_read_path_equals_full_sieve_layout(word, modulus, n_max, step
     assert [s.phi_sum for s in surrogate_series(2, pattern, n_max, step)] == expected
 
 
+def test_surrogate_reads_agree_across_sample_blocks():
+    # at step 1 the samples fill three blocks; a coarse step reads them from one
+    n_max = 2 * growth._SAMPLE_BLOCK + 5
+    for word in (THUE_MORSE_64, "-+"):
+        pattern = parse_pattern(word)
+        every = surrogate_series(2, pattern, n_max, 1)
+        coarse = surrogate_series(2, pattern, n_max, 997)
+        assert [every[s.n - 1] for s in coarse] == coarse
+
+
 def test_surrogate_converges_for_all_minus():
     sample = surrogate_series(2, parse_pattern("-"), 10**4, step=10**4)[-1]
     assert abs(sample.ratio_surrogate - 3) <= 0.02 * 3

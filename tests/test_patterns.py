@@ -155,6 +155,9 @@ def test_pattern_word_validation():
         SignPattern((1,) * (MAX_PERIOD + 1))
     with pytest.raises(ValueError, match="must be -1 or \\+1"):
         SignPattern((1, 0))
+    with pytest.raises(ValueError) as exc:
+        SignPattern((1, 0))
+    assert str(exc.value) == "shift must be -1 or +1, got 0"
     with pytest.raises(ValueError, match="must be -1 or \\+1"):
         parse_pattern("+-")._replace(word=(0, 5))
     with pytest.raises(ValueError, match="64 bits"):

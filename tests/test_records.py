@@ -68,16 +68,3 @@ def test_sign_pattern_keeps_no_reference_to_the_callers_list():
     assert pattern.shifts(3) == [-1, 1, -1]
     assert hash(pattern) == hash(SignPattern((-1, 1)))
     assert pattern._replace(word=[1]) == SignPattern((1,))
-
-
-def test_monte_carlo_summary_json_keys_in_field_order():
-    obj = MonteCarloSummary(50, 2, 1200.0, None, 4.5, 4.0, 0.5).to_json_obj()
-    assert list(obj.items()) == [
-        ("n", 50),
-        ("trials", 2),
-        ("mean_X", 1200.0),
-        ("var_X", None),
-        ("mean_ratio", 4.5),
-        ("theory_ratio", 4.0),
-        ("abs_gap", 0.5),
-    ]
