@@ -24,7 +24,7 @@ _HOME = {
         "patterns": "SignPattern parse_pattern random_shifts subseed",
         "cover": "ProgressionCover pattern_cover cover_members oracle_L",
         "constants": "GrowthConstant growth_constant random_model_constant",
-        "growth": "GrowthSample exact_log_lcm_series surrogate_series write_growth_csv",
+        "growth": "GrowthSample exact_log_lcm_series surrogate_series",
         "stochastic": "TrialResult indicator_expectation pair_expectation expected_X "
         "variance_bound monte_carlo",
     }.items()

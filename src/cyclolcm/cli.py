@@ -1,7 +1,8 @@
-"""Command-line front end; -h prints _USAGE, kept out of docstrings for python -OO."""
+"""Command-line front end and the only output formatter; -h prints _USAGE, no docstring (-OO)."""
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from types import SimpleNamespace
@@ -41,6 +42,20 @@ SCHEMA_VERSION = 1
 TRIALS_CSV_HEADER = "seed,trial,n,X,ratio"
 
 
+def _print_csv(header: str, records) -> None:
+    """The header line, then one line per record: each field's repr, "" for None."""
+    write = sys.stdout.write
+    write(header + "\n")
+    for record in records:
+        write(",".join("" if v is None else repr(v) for v in record) + "\n")
+
+
+def _rational(num: int, den: int) -> dict:
+    """num/den in lowest terms as a JSON object."""
+    g = math.gcd(num, den)
+    return {"num": num // g, "den": den // g}
+
+
 def _print_json(obj: dict, file=None) -> None:
     """One JSON line: obj with the schema version, keys sorted."""
     import json
@@ -66,9 +81,14 @@ def cmd_constant(args) -> int:
 
     gc = growth_constant(parse_pattern(args.pattern))
     if args.format == "json" or args.explain:
-        obj = gc.to_json_obj()
-        if not args.explain:
-            del obj["cover"]
+        c = gc.C
+        obj = {"pattern": str(gc.pattern), "C": _rational(c.numerator, c.denominator),
+               "C_float": float(c)}
+        if args.explain:
+            obj["cover"] = {"modulus": gc.cover.modulus, "classes": [
+                {"t": t, "theta": _rational(2, q)}  # theta_t = 2/q_t
+                for t, q in sorted(gc.cover.multipliers.items())
+            ]}
         _print_json(obj)
     else:
         print(f"{gc.C}\t{float(gc.C)!r}")
@@ -85,7 +105,7 @@ def cmd_table(args) -> int:
     ]
     if args.format == "json":
         _print_json({"rows": [
-            {"pattern": w, "C": {"num": c.numerator, "den": c.denominator}} for w, c in rows
+            {"pattern": w, "C": _rational(c.numerator, c.denominator)} for w, c in rows
         ]})
     else:
         for word, c in rows:
@@ -95,8 +115,8 @@ def cmd_table(args) -> int:
 
 def cmd_growth(args) -> int:
     from .constants import growth_constant, random_model_constant
-    from .growth import EXACT_ENGINE_CAP, _check_growth_args, exact_log_lcm_series
-    from .growth import surrogate_series, write_growth_csv
+    from .growth import EXACT_ENGINE_CAP, GrowthSample, _check_growth_args
+    from .growth import exact_log_lcm_series, surrogate_series
     from .patterns import parse_pattern, random_shifts
 
     _check_growth_args(args.base, args.n_max, args.step)
@@ -122,7 +142,7 @@ def cmd_growth(args) -> int:
         )
     else:
         samples = surrogate_series(args.base, shifts, args.n_max, args.step)
-    write_growth_csv(samples, sys.stdout)
+    _print_csv(",".join(GrowthSample._fields), samples)
     final = samples[-1]
     ratio = final.ratio_exact if final.ratio_exact is not None else final.ratio_surrogate
     print(
@@ -138,14 +158,11 @@ def cmd_random(args) -> int:
 
     results, summary = monte_carlo(args.n, args.trials, _parse_seed(args.seed))
     if args.format == "json":
-        _print_json({"summary": summary._asdict(), "trials": [
-            {"seed": r.seed, "trial": r.trial_index, "n": r.n, "X": r.X, "ratio": r.ratio}
-            for r in results
-        ]})
+        columns = TRIALS_CSV_HEADER.split(",")
+        _print_json({"summary": summary._asdict(),
+                     "trials": [dict(zip(columns, r)) for r in results]})
     else:
-        print(TRIALS_CSV_HEADER)
-        for r in results:
-            print(f"{r.seed},{r.trial_index},{r.n},{r.X},{r.ratio!r}")
+        _print_csv(TRIALS_CSV_HEADER, results)
         _print_json(summary._asdict(), file=sys.stderr)
     return EXIT_OK
 

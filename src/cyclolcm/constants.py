@@ -43,14 +43,6 @@ class GrowthConstant(NamedTuple):
     C: Fraction
     cover: ProgressionCover
 
-    def to_json_obj(self) -> dict:
-        return {
-            "pattern": str(self.pattern),
-            "C": {"num": self.C.numerator, "den": self.C.denominator},
-            "C_float": float(self.C),
-            "cover": self.cover.to_json_obj(),
-        }
-
 
 def growth_constant(pattern: SignPattern) -> GrowthConstant:
     """Exact rational growth constant for a periodic pattern.

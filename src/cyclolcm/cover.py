@@ -26,7 +26,6 @@ theta_t = 2/q, and t has no class when no q exists.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from typing import NamedTuple, Sequence
 
@@ -55,6 +54,8 @@ class ProgressionCover(_ProgressionCoverFields):
 
     def __new__(cls, modulus: int, multipliers: dict[int, int]) -> ProgressionCover:
         _check_int("modulus", modulus)
+        if not isinstance(multipliers, dict):
+            raise ValueError(f"multipliers must be a dict, got {multipliers!r}")
         multipliers = dict(multipliers)
         for t, q in multipliers.items():
             if type(t) is not int or not 1 <= t <= modulus:
@@ -75,13 +76,6 @@ class ProgressionCover(_ProgressionCoverFields):
         from fractions import Fraction
 
         return {t: Fraction(2, q) for t, q in self.multipliers.items()}
-
-    def to_json_obj(self) -> dict:
-        classes = []
-        for t, q in sorted(self.multipliers.items()):
-            g = math.gcd(2, q)  # theta_t = 2/q_t in lowest terms
-            classes.append({"t": t, "theta": {"num": 2 // g, "den": q // g}})
-        return {"modulus": self.modulus, "classes": classes}
 
 
 def _entry_multiplier(word: Sequence[int], t: int, n: int) -> int:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from typing import IO, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .cover import _entry_buckets, pattern_cover
 from .cyclotomic import SIEVE_BLOCK, _check_int, _v2, cyclotomic_value, totient, totient_sieve
@@ -58,11 +58,9 @@ from .patterns import SignPattern, _shift_list
 __all__ = [
     "EXACT_ENGINE_CAP",
     "ENVELOPE_K",
-    "GROWTH_CSV_HEADER",
     "GrowthSample",
     "exact_log_lcm_series",
     "surrogate_series",
-    "write_growth_csv",
 ]
 
 EXACT_ENGINE_CAP = 2000
@@ -101,9 +99,6 @@ class GrowthSample(NamedTuple):
     phi_sum: float | None
     ratio_exact: float | None
     ratio_surrogate: float | None
-
-
-GROWTH_CSV_HEADER = ",".join(GrowthSample._fields)
 
 
 def _check_growth_args(a: int, n_max: int, step: int) -> None:
@@ -268,10 +263,3 @@ def surrogate_series(
             for c in columns:
                 block_totals += (2 - c % 2) * sums[(limit - c) // modulus, c - 1]
     return _growth_samples(a, ns, totals.tolist())
-
-
-def write_growth_csv(samples: Sequence[GrowthSample], out: IO[str]) -> None:
-    """Emit the growth CSV; missing exact fields become empty columns."""
-    out.write(GROWTH_CSV_HEADER + "\n")
-    for s in samples:
-        out.write(",".join("" if v is None else repr(v) for v in s) + "\n")

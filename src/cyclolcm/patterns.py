@@ -57,7 +57,10 @@ class SignPattern(_SignPatternFields):
     __slots__ = ()
 
     def __new__(cls, word: Sequence[int]) -> SignPattern:
-        word = tuple(word)
+        try:
+            word = tuple(word)
+        except TypeError:
+            raise ValueError(f"word must be a sequence, got {word!r}") from None
         if not word:
             raise ValueError("pattern must be nonempty")
         if len(word) > MAX_PERIOD:

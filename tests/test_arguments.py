@@ -116,8 +116,15 @@ def test_cover_entries_refuse_anything_but_a_sign_pattern(call):
     (lambda: oracle_L(None, 3), "shifts must be a SignPattern or a sequence, got None"),
     (lambda: parse_pattern(5), "pattern must be a str, got 5"),
     (lambda: parse_pattern(["-", "+"]), "pattern must be a str, got ['-', '+']"),
+    (lambda: SignPattern(5), "word must be a sequence, got 5"),
+    (lambda: SignPattern(None), "word must be a sequence, got None"),
+    (lambda: ProgressionCover(4, 5), "multipliers must be a dict, got 5"),
+    (lambda: ProgressionCover(4, None), "multipliers must be a dict, got None"),
+    (lambda: pattern_cover(parse_pattern("-"))._replace(multipliers=3),
+     "multipliers must be a dict, got 3"),
 ], ids=["cover_members-dict", "exact_log_lcm_series-int", "oracle_L-int", "oracle_L-None",
-        "parse_pattern-int", "parse_pattern-list"])
+        "parse_pattern-int", "parse_pattern-list", "SignPattern-int", "SignPattern-None",
+        "ProgressionCover-int", "ProgressionCover-None", "ProgressionCover-replace-int"])
 def test_wrong_types_are_refused_by_name(call, message):
     with pytest.raises(ValueError) as exc:
         call()

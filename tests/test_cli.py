@@ -8,6 +8,7 @@ import re
 import runpy
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,8 @@ import pytest
 from cyclolcm import cli as cli_module
 from cyclolcm import verify as verify_module
 from cyclolcm.cli import TRIALS_CSV_HEADER, main
-from cyclolcm.growth import GROWTH_CSV_HEADER
-from cyclolcm.patterns import all_sign_words
+from cyclolcm.cover import pattern_cover
+from cyclolcm.patterns import all_sign_words, parse_pattern
 from cyclolcm.verify import CheckResult
 
 
@@ -202,6 +203,17 @@ def test_constant_usage_errors():
     assert "position 2" in out.stderr
 
 
+def test_explain_thetas_are_two_over_the_multiplier_in_lowest_terms(capsys):
+    for word in all_sign_words(8):
+        assert main(["constant", "--pattern", word, "--explain"]) == 0
+        classes = json.loads(capsys.readouterr().out)["cover"]["classes"]
+        multipliers = pattern_cover(parse_pattern(word)).multipliers
+        assert [c["t"] for c in classes] == sorted(multipliers), word
+        for c in classes:
+            theta = Fraction(2, multipliers[c["t"]])
+            assert c["theta"] == {"num": theta.numerator, "den": theta.denominator}, word
+
+
 def test_table_period_one():
     out = run_cli("table", "--max-period", "1")
     assert out.returncode == 0
@@ -235,7 +247,7 @@ def test_growth_csv_and_cross_engine():
     )
     assert out.returncode == 0
     lines = out.stdout.strip().split("\n")
-    assert lines[0] == GROWTH_CSV_HEADER
+    assert lines[0] == "n,log_lcm,phi_sum,ratio_exact,ratio_surrogate"
     # last row recomputable by an independent naive lcm fold
     import math
 
@@ -470,6 +482,61 @@ GROWTH_CSV_PINNED = {
 def test_growth_csv_bytes(flags, csv, capsys):
     assert main(["growth", *flags]) == 0
     assert capsys.readouterr().out == csv
+
+
+# (argv, stdout, stderr) of each JSON shape and of the trial CSV
+OUTPUT_PINNED = {
+    "constant-json": (
+        ["constant", "--pattern", "-++", "--format", "json"],
+        '{"C": {"den": 48, "num": 173}, "C_float": 3.6041666666666665, "pattern": "-++", '
+        '"schema": 1}\n',
+        "",
+    ),
+    "table-json": (
+        ["table", "--max-period", "2", "--format", "json"],
+        '{"rows": [{"C": {"den": 1, "num": 3}, "pattern": "-"}, '
+        '{"C": {"den": 1, "num": 4}, "pattern": "+"}, '
+        '{"C": {"den": 1, "num": 3}, "pattern": "--"}, '
+        '{"C": {"den": 1, "num": 4}, "pattern": "-+"}, '
+        '{"C": {"den": 1, "num": 3}, "pattern": "+-"}, '
+        '{"C": {"den": 1, "num": 4}, "pattern": "++"}], "schema": 1}\n',
+        "",
+    ),
+    "constant-explain": (
+        ["constant", "--pattern", "+-", "--explain"],
+        '{"C": {"den": 1, "num": 3}, "C_float": 3.0, "cover": {"classes": ['
+        '{"t": 1, "theta": {"den": 2, "num": 1}}, {"t": 2, "theta": {"den": 1, "num": 2}}, '
+        '{"t": 3, "theta": {"den": 2, "num": 1}}, {"t": 4, "theta": {"den": 1, "num": 1}}], '
+        '"modulus": 4}, "pattern": "+-", "schema": 1}\n',
+        "",
+    ),
+    "random-csv": (
+        ["random", "--n", "30", "--trials", "2", "--seed", "5"],
+        "seed,trial,n,X,ratio\n"
+        "16294208416658607530,0,30,342,3.7504496724139558\n"
+        "10451216379200822468,1,30,304,3.3337330421457385\n",
+        '{"abs_gap": 0.0486481984897722, "mean_X": 323.0, "mean_ratio": 3.542091357279847, '
+        '"n": 30, "schema": 1, "theory_ratio": 3.493443158790075, "trials": 2, '
+        '"var_X": 722.0}\n',
+    ),
+    "random-json": (
+        ["random", "--n", "30", "--trials", "2", "--seed", "5", "--format", "json"],
+        '{"schema": 1, "summary": {"abs_gap": 0.0486481984897722, "mean_X": 323.0, '
+        '"mean_ratio": 3.542091357279847, "n": 30, "theory_ratio": 3.493443158790075, '
+        '"trials": 2, "var_X": 722.0}, "trials": ['
+        '{"X": 342, "n": 30, "ratio": 3.7504496724139558, "seed": 16294208416658607530, '
+        '"trial": 0}, '
+        '{"X": 304, "n": 30, "ratio": 3.3337330421457385, "seed": 10451216379200822468, '
+        '"trial": 1}]}\n',
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, out, err", OUTPUT_PINNED.values(), ids=list(OUTPUT_PINNED))
+def test_output_bytes(argv, out, err, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr() == (out, err)
 
 
 def test_verify_table1():

@@ -1,6 +1,5 @@
 """Exact lcm engine, totient-sum surrogate, and their convergence envelope."""
 
-import io
 import math
 
 import pytest
@@ -20,14 +19,12 @@ from cyclolcm import (
     surrogate_series,
     totient,
     totient_sieve,
-    write_growth_csv,
 )
 from cyclolcm import growth
 from cyclolcm.cover import _entry_buckets
 from cyclolcm.growth import (
     ENVELOPE_K,
     EXACT_ENGINE_CAP,
-    GROWTH_CSV_HEADER,
     _lcm_enclosures,
 )
 from cyclolcm.patterns import MAX_PERIOD, SignPattern
@@ -460,19 +457,6 @@ def test_exact_gap_shrinks_from_250_to_1000():
     samples = exact_log_lcm_series(2, parse_pattern("-"), 1000, step=250)
     # approach at this scale: the n=1000 gap beats the n=250 gap
     assert abs(samples[-1].ratio_exact - 3) < abs(samples[0].ratio_exact - 3)
-
-
-def test_growth_csv_format():
-    assert GROWTH_CSV_HEADER == "n,log_lcm,phi_sum,ratio_exact,ratio_surrogate"
-    buf = io.StringIO()
-    samples = surrogate_series(2, parse_pattern("-"), 10, step=5)
-    write_growth_csv(samples, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == GROWTH_CSV_HEADER
-    first = lines[1].split(",")
-    assert first[0] == "5"
-    assert first[1] == "" and first[3] == ""  # exact columns empty
-    assert float(first[2]) > 0 and float(first[4]) > 0
 
 
 def test_sample_sequence_is_strictly_increasing():

@@ -60,3 +60,24 @@ def test_every_refusal_is_a_plain_value_error(path):
         if isinstance(node, ast.ClassDef):
             bases = {ast.unparse(base).rpartition(".")[2] for base in node.bases}
             assert bases.isdisjoint(EXCEPTION_NAMES), (node.name, bases)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(path for path in Path(cyclolcm.__file__).parent.glob("*.py")
+           if path.name not in ("cli.py", "__main__.py")),
+    ids=lambda path: path.name,
+)
+def test_only_the_cli_formats_output(path):
+    # the library returns records; cli.py prints them, so no other module
+    # prints, writes to a stream or loads json
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            assert not (isinstance(func, ast.Name) and func.id == "print"), node.lineno
+            assert not (isinstance(func, ast.Attribute) and func.attr == "write"), node.lineno
+        elif isinstance(node, ast.Import):
+            assert "json" not in {alias.name for alias in node.names}, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module != "json", node.lineno
