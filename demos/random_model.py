@@ -30,10 +30,11 @@ def main():
     print("exact route, small n (cross-checked by full enumeration):")
     for n in (1, 3, 6, 10):
         exact = expected_X(n)
-        singles, _ = exhaustive_indicator_tables(n)
+        pairs = exhaustive_indicator_tables(n)
         # E[X] is linear in the indicators, so the mean of X over all 2^n
-        # words is the totient-weighted sum of their enumerated means.
-        enum_mean = sum(totient(d) * p for d, p in singles.items())
+        # words is the totient-weighted sum of their enumerated means; the
+        # mean of I_d is the pair table's diagonal, E[I_d * I_d] = E[I_d].
+        enum_mean = sum(totient(d) * pairs[d, d] for d in range(1, 2 * n + 1))
         tag = "ok" if exact == enum_mean else "MISMATCH"
         print(f"  n={n:2d}  E[X] = {exact}  enumeration {tag}")
     print()

@@ -25,8 +25,7 @@ _HOME = {
         "cover": "ProgressionCover pattern_cover cover_members oracle_L",
         "constants": "GrowthConstant growth_constant random_model_constant",
         "growth": "GrowthSample exact_log_lcm_series surrogate_series",
-        "stochastic": "TrialResult indicator_expectation pair_expectation expected_X "
-        "variance_bound monte_carlo",
+        "stochastic": "TrialResult pair_expectation expected_X variance_bound monte_carlo",
     }.items()
     for name in names.split()
 }

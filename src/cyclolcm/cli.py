@@ -235,6 +235,9 @@ def _value(name: str, kind, text: str):
     """`text` read as int or str, or as one of a tuple of accepted values."""
     convert = type(kind[0]) if isinstance(kind, tuple) else kind
     try:
+        # ASCII digits only, as in _parse_seed; a sign is "-" alone
+        if convert is int and not re.fullmatch(r"-?[0-9]+", text):
+            raise ValueError
         value = convert(text)
     except ValueError:
         raise ValueError(f"argument {name}: invalid {convert.__name__} value: {text!r}") from None

@@ -2,12 +2,13 @@
 
 With shifts drawn independently and uniformly from {-1, +1}, the chance
 that an index d has NOT entered the divisor-set union after n steps is
-2^-(number of k <= n with d | 2k) = 2^-floor(n*gcd(2,d)/d), so
+2^-(number of k <= n with d | 2k) = 2^-floor(n*gcd(2,d)/d).  The pair
+formula pair_expectation(n, d1, d2) = E[indicator(n, d1) * indicator(n, d2)]
+is exact, with a case split on whether the joint index set is empty
+([d1,d2] > 2n) and on the 2-adic valuations; its diagonal is the marginal
 
-    E[indicator(n, d)] = 1 - 2^-floor(n*gcd(2,d)/d)
+    E[indicator(n, d)] = pair_expectation(n, d, d) = 1 - 2^-floor(n*gcd(2,d)/d).
 
-exactly, with a matching product formula for pairs that depends on whether
-the joint index set is empty ([d1,d2] > 2n) and on the 2-adic valuations.
 The totient-weighted sum X = sum_{d<=2n} phi(d) * indicator(n, d) then has
 E[X] ~ (6/pi^2) * Li2(1/2) * n^2 and variance O(n^3), which Chebyshev
 turns into concentration.
@@ -19,7 +20,7 @@ the floor keys n // k (expected_X), so it runs in pure Python with no
 per-d loop and no array.  For n <= EXHAUSTIVE_CAP
 the module can enumerate all 2^n shift words outright; that exhaustive
 oracle is what the tests and `verify --suite stochastic-oracle` use to
-adjudicate the expectation formulas, floors and all.  Its indicator tables
+adjudicate the pair formula, its diagonal and floors included.  Its pair table
 read the literal union L(n) from cyclotomic._entry_masks, the walk that the
 cover oracle reads too, for all 2^n words at once: a set of words is one
 Python int of 2^n bits (bit w for word w), and every count a popcount.
@@ -43,7 +44,6 @@ __all__ = [
     "EXHAUSTIVE_CAP",
     "TrialResult",
     "MonteCarloSummary",
-    "indicator_expectation",
     "pair_expectation",
     "expected_X",
     "variance_bound",
@@ -82,18 +82,11 @@ def _floor_exponent(n: int, d: int) -> int:
     return n * math.gcd(2, d) // d
 
 
-def indicator_expectation(n: int, d: int) -> Fraction:
-    """Exact probability that d lies in the random divisor-set union."""
-    _check_int("n", n)
-    _check_int("d", d)
-    import fractions  # per call, a sixth of the cost of `from fractions import Fraction`
-
-    e = _floor_exponent(n, d)
-    return 1 - fractions.Fraction(1, 2**e)
-
-
 def pair_expectation(n: int, d1: int, d2: int) -> Fraction:
     """Exact expectation of the product of two membership indicators.
+
+    At d1 = d2 = d it is the marginal E[indicator(n, d)] = 1 - 2^-e with
+    e = floor(n*gcd(2,d)/d), the one formula for it.
 
     Case split: if [d1, d2] <= 2n and the 2-adic valuations differ, some
     single shift forces one of d1, d2 into the union, so the joint-miss
@@ -329,16 +322,15 @@ def monte_carlo(
     return results, _summarize(results, n)
 
 
-def _indicator_counts(n: int) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
-    """Counts behind exhaustive_indicator_tables: ({d: #words whose union
-    holds d}, {(d1, d2): #words whose union holds both}) over the 2^n words.
+def _indicator_counts(n: int) -> dict[tuple[int, int], int]:
+    """Counts behind exhaustive_indicator_tables: {(d1, d2): #words whose
+    union holds both} over the 2^n words, a single d's count at (d, d).
 
     A set of words is an int of 2^n bits, bit w standing for word w (bit
     k-1 of w set means s_k = +1), so the words with s_k = -1 are the low
     2^(k-1) bits of each 2^k-bit block.  member[d], the words whose literal
     union L(n) holds d, ORs the masks cyclotomic._entry_masks gives d at
-    its entry times.  Counts are popcounts of member[d] and of
-    member[d1] & member[d2].
+    its entry times.  Counts are popcounts of member[d1] & member[d2].
     """
     _check_int("n", n)
     if n > EXHAUSTIVE_CAP:
@@ -351,22 +343,14 @@ def _indicator_counts(n: int) -> tuple[dict[int, int], dict[tuple[int, int], int
     for (d, _), words in _entry_masks(minus[::-1], rep).items():  # rep at k = 0: every word
         member[d] |= words
     ds = range(1, 2 * n + 1)
-    singles = {d: member[d].bit_count() for d in ds}
-    pairs = {(d1, d2): (member[d1] & member[d2]).bit_count() for d1 in ds for d2 in ds}
-    return singles, pairs
+    return {(d1, d2): (member[d1] & member[d2]).bit_count() for d1 in ds for d2 in ds}
 
 
-def exhaustive_indicator_tables(
-    n: int,
-) -> tuple[dict[int, Fraction], dict[tuple[int, int], Fraction]]:
-    """Exact E[indicator] and pairwise products by full enumeration.
-
-    Returns ({d: E[I(n,d)]}, {(d1,d2): E[I(n,d1)*I(n,d2)]}) for all
-    d, d1, d2 <= 2n: the counts of _indicator_counts over 2^n.
+def exhaustive_indicator_tables(n: int) -> dict[tuple[int, int], Fraction]:
+    """Exact {(d1, d2): E[I(n,d1)*I(n,d2)]} by full enumeration, for all
+    d1, d2 <= 2n: the counts of _indicator_counts over 2^n.  A marginal
+    E[I(n,d)] is the [d, d] entry.
     """
     import fractions
 
-    return tuple(
-        {key: fractions.Fraction(count, 1 << n) for key, count in counts.items()}
-        for counts in _indicator_counts(n)
-    )
+    return {key: fractions.Fraction(count, 1 << n) for key, count in _indicator_counts(n).items()}

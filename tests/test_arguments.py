@@ -23,7 +23,6 @@ from cyclolcm.patterns import SignPattern, all_sign_words, parse_pattern, random
 from cyclolcm.stochastic import (
     _indicator_counts,
     expected_X,
-    indicator_expectation,
     monte_carlo,
     pair_expectation,
     variance_bound,
@@ -37,7 +36,6 @@ CONTRACTS = [
     (divisor_set, (6, 1), [(0, "k", 1)]),
     (cyclotomic_value, (6, 2), [(0, "n", 1), (1, "a", 2)]),
     (_check_growth_args, (2, 10, 1), [(0, "base a", 2), (1, "n_max", 1), (2, "step", 1)]),
-    (indicator_expectation, (10, 3), [(0, "n", 1), (1, "d", 1)]),
     (pair_expectation, (10, 2, 3), [(0, "n", 1), (1, "d1", 1), (2, "d2", 1)]),
     (expected_X, (10,), [(0, "n", 1)]),
     (variance_bound, (5,), [(0, "n", 1)]),

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cyclolcm import (
     divisor_set,
     expected_X,
-    indicator_expectation,
     monte_carlo,
     oracle_L,
     pair_expectation,
@@ -47,10 +46,24 @@ def enum_indicator(n, d):
     return Fraction(hits, 1 << n)
 
 
+def marginal(n, d):
+    """E[I(n, d)] = 1 - 2^-floor(n*gcd(2,d)/d) in closed form, the oracle of
+    pair_expectation's diagonal."""
+    return 1 - Fraction(1, 2 ** (n * math.gcd(2, d) // d))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_pair_diagonal_is_the_closed_form_marginal(data):
+    n = data.draw(st.integers(1, 300), label="n")
+    d = data.draw(st.integers(1, 3 * n), label="d")
+    assert pair_expectation(n, d, d) == marginal(n, d)
+
+
 def test_indicator_examples():
-    assert indicator_expectation(10, 3) == Fraction(7, 8)
-    assert indicator_expectation(5, 11) == 0
-    assert indicator_expectation(6, 2) == Fraction(63, 64)
+    assert pair_expectation(10, 3, 3) == Fraction(7, 8)
+    assert pair_expectation(5, 11, 11) == 0
+    assert pair_expectation(6, 2, 2) == Fraction(63, 64)
     # brute enumeration agrees
     assert enum_indicator(10, 3) == Fraction(7, 8)
     assert enum_indicator(6, 2) == Fraction(63, 64)
@@ -61,7 +74,7 @@ def test_indicator_zero_characterization():
     # d that already happens once d > n (an odd divisor of 2k divides k)
     for n in (1, 4, 9):
         for d in range(1, 3 * n):
-            value = indicator_expectation(n, d)
+            value = pair_expectation(n, d, d)
             vanishes = d > n if d % 2 else d > 2 * n
             assert (value == 0) == vanishes
             if d > 2 * n:
@@ -71,22 +84,23 @@ def test_indicator_zero_characterization():
 
 def test_pair_examples():
     assert pair_expectation(6, 3, 2) == Fraction(47, 64)
-    assert pair_expectation(6, 3, 3) == indicator_expectation(6, 3) == Fraction(3, 4)
+    assert pair_expectation(6, 3, 3) == marginal(6, 3) == Fraction(3, 4)
     # odd coprime pair with disjoint index sets: product of marginals
     assert pair_expectation(5, 3, 5) == Fraction(1, 4)
-    assert pair_expectation(5, 3, 5) == indicator_expectation(5, 3) * indicator_expectation(5, 5)
+    assert pair_expectation(5, 3, 5) == pair_expectation(5, 3, 3) * pair_expectation(5, 5, 5)
     # at n=4 the second marginal is already 0 (5 divides no 2k with k <= 4),
     # so the pair expectation vanishes; enumeration over 2^4 words agrees
-    assert indicator_expectation(4, 5) == 0
+    assert pair_expectation(4, 5, 5) == 0
     assert pair_expectation(4, 3, 5) == 0
     assert enum_indicator(4, 5) == 0
 
 
 def test_pair_matches_enumeration_exhaustively():
     for n in (1, 2, 3, 4, 5, 6, 7, 8, 13, 14):
-        singles, pairs = exhaustive_indicator_tables(n)
+        pairs = exhaustive_indicator_tables(n)
+        assert len(pairs) == (2 * n) ** 2
         for d in range(1, 2 * n + 1):
-            assert singles[d] == indicator_expectation(n, d), (n, d)
+            assert pairs[d, d] == marginal(n, d), (n, d)
         for (d1, d2), enum in pairs.items():
             assert enum == pair_expectation(n, d1, d2), (n, d1, d2)
 
@@ -100,27 +114,26 @@ def test_indicator_counts_equal_literal_unions(n):
         for w in range(1 << n)
     ]
     ds = range(1, 2 * n + 1)
-    singles = {d: sum(d in u for u in unions) for d in ds}
     pairs = {(d1, d2): sum(d1 in u and d2 in u for u in unions) for d1 in ds for d2 in ds}
-    assert _indicator_counts(n) == (singles, pairs)
+    assert _indicator_counts(n) == pairs
 
 
-@pytest.mark.parametrize("formula", ["indicator_expectation", "pair_expectation"])
-def test_stochastic_oracle_detail_names_the_wrong_formula(monkeypatch, formula):
+@pytest.mark.parametrize(
+    "key, detail",
+    [((5, 3, 4), "pair (3, 4): enum 3/8 vs formula 25/64"),
+     ((5, 3, 3), "pair (3, 3): enum 1/2 vs formula 33/64")],
+    ids=["off-diagonal", "diagonal"],
+)
+def test_stochastic_oracle_detail_names_the_wrong_formula(monkeypatch, key, detail):
     from cyclolcm.verify import suite_stochastic_oracle
 
-    # one value off at n = 5 only: d = 3 (single) or (d1, d2) = (3, 4) (pair)
-    right = getattr(stochastic, formula)
-    key = (5, 3) if formula == "indicator_expectation" else (5, 3, 4)
+    # one value off at n = 5 only, off the diagonal or on it (a marginal)
+    right = stochastic.pair_expectation
     wrong = right(*key) + Fraction(1, 64)
-    monkeypatch.setattr(stochastic, formula, lambda *a: wrong if a == key else right(*a))
-    singles, pairs = exhaustive_indicator_tables(5)
-    if formula == "indicator_expectation":
-        detail = f"single d=3: enum {singles[3]} vs formula {wrong}"
-    else:
-        detail = f"pair (3, 4): enum {pairs[3, 4]} vs formula {wrong}"
-    assert detail in ("single d=3: enum 1/2 vs formula 33/64",
-                      "pair (3, 4): enum 3/8 vs formula 25/64")
+    monkeypatch.setattr(stochastic, "pair_expectation", lambda *a: wrong if a == key else right(*a))
+    _, d1, d2 = key
+    enum = exhaustive_indicator_tables(5)[d1, d2]
+    assert detail == f"pair ({d1}, {d2}): enum {enum} vs formula {wrong}"
     results = suite_stochastic_oracle()
     assert [(r.ok, r.detail) for r in results] == [
         (n != 5, "" if n != 5 else detail) for n in range(1, 13)
@@ -129,14 +142,14 @@ def test_stochastic_oracle_detail_names_the_wrong_formula(monkeypatch, formula):
 
 
 def test_bitset_tables_match_union_kernel():
-    # the tables count words with int bitsets; the Monte Carlo kernel's
-    # rows over all 2^n words must give the same single and pair counts
+    # the table counts words with int bitsets; the Monte Carlo kernel's
+    # rows over all 2^n words must give the same single (diagonal) and pair counts
     for n in range(1, 11):
-        singles, pairs = exhaustive_indicator_tables(n)
+        pairs = exhaustive_indicator_tables(n)
         member = _union_rows(_all_words(n)).astype(np.int64)
         ds = range(1, 2 * n + 1)
         column_sums = member.sum(axis=0)
-        assert [singles[d] * 2**n for d in ds] == [column_sums[d] for d in ds], n
+        assert [pairs[d, d] * 2**n for d in ds] == [column_sums[d] for d in ds], n
         if n <= 8:
             products = member.T @ member
             for d1 in ds:
@@ -153,7 +166,7 @@ def test_disjoint_index_sets_factorize():
                 cases.append((n, d1, d2))
     assert len(cases) >= 20
     for n, d1, d2 in cases:
-        product = indicator_expectation(n, d1) * indicator_expectation(n, d2)
+        product = pair_expectation(n, d1, d1) * pair_expectation(n, d2, d2)
         assert pair_expectation(n, d1, d2) == product, (n, d1, d2)
 
 
@@ -161,7 +174,7 @@ def expected_x_by_d(n):
     """The defining sum over every d <= 2n, one totient per d: the oracle."""
     total = 0
     for d in range(1, 2 * n + 1):
-        total += totient(d) * (1 - Fraction(1, 2 ** (n * math.gcd(2, d) // d)))
+        total += totient(d) * marginal(n, d)
     return total
 
 
@@ -254,8 +267,8 @@ def test_exhaustive_mean_matches_expectation():
         phi = totient_sieve(2 * n)
         total = sum(int(phi[row].sum()) for row in _union_rows(_all_words(n)))
         assert Fraction(total, 1 << n) == expected_X(n)
-        singles, _ = exhaustive_indicator_tables(n)
-        assert sum(totient(d) * p for d, p in singles.items()) == expected_X(n)
+        pairs = exhaustive_indicator_tables(n)
+        assert sum(totient(d) * pairs[d, d] for d in range(1, 2 * n + 1)) == expected_X(n)
 
 
 def test_variance_bound_matches_bruteforce_pairs():
